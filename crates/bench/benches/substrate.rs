@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use aic_ckpt::concurrent::{CheckpointingCore, CompressJob};
+use aic_ckpt::concurrent::{CompressJob, CompressorPool};
 use aic_ckpt::format::CheckpointFile;
 use aic_ckpt::storage::{BandwidthModel, Raid5Group, Store};
 use aic_delta::pa::PaParams;
@@ -105,7 +105,7 @@ fn bench_checkpointing_core(c: &mut Criterion) {
         BenchmarkId::new("core_submit_recv", "64pages"),
         &(prev, dirty),
         |b, (prev, dirty)| {
-            let mut core = CheckpointingCore::spawn(4);
+            let core = CompressorPool::spawn(1, 4);
             let mut seq = 0;
             b.iter(|| {
                 core.submit(CompressJob {

@@ -51,9 +51,13 @@
 //! * [`clock`](mod@clock) — the [`clock::ClockSource`] trait splitting the
 //!   simulated [`clock::VirtualClock`] from the wall-clock
 //!   [`clock::MonotonicClock`];
+//! * [`service`] — the multi-tenant `aicd` fleet daemon in simulated mode.
+//!   It, [`script`](mod@script) and [`wallclock`] are three drivers of one
+//!   crate-private fleet core: the tenant commit/crash/recover/leave state
+//!   machine over the shared storage hierarchy and transport;
 //! * [`script`](mod@script) — mode-portable tenant scripts, the
-//!   mode-invariant record stream, and the deterministic script executor
-//!   (the oracle side of the wall-clock contract);
+//!   mode-invariant record stream, and the deterministic script-replay
+//!   driver (the oracle side of the wall-clock contract);
 //! * [`wallclock`] — the real-thread fleet server: tenant sessions on OS
 //!   threads, shard-granular preemptive DRR encoding, blocking admission
 //!   and transport back-pressure, a background drainer;
@@ -70,6 +74,7 @@ pub mod dedup;
 pub mod engine;
 pub mod failure;
 pub mod fleet;
+mod fleetcore;
 pub mod format;
 pub mod harness;
 pub mod log;

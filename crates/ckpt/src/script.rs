@@ -1,10 +1,13 @@
-//! Tenant scripts and the oracle record stream.
+//! Tenant scripts, the oracle record stream, and the script-replay driver.
 //!
 //! A [`TenantScript`] is the mode-portable description of one tenant
 //! session: a persona, a checkpoint policy, and a command list (`Cut`,
 //! `Crash{level}`). The same script can be replayed by the deterministic
-//! discrete-event executor ([`run_script_sim`]) and by the real-thread
-//! wall-clock server ([`crate::wallclock::run_script_wallclock`]).
+//! script driver ([`run_script_sim`]) and by the real-thread wall-clock
+//! server ([`crate::wallclock::run_script_wallclock`]). Both drive the same
+//! fleet core — the one tenant commit/crash/recover/leave state machine
+//! `run_service` runs too (DESIGN.md §9) — so the stream compares two
+//! drivers of one machine, not two implementations.
 //!
 //! # The oracle contract
 //!
@@ -35,33 +38,28 @@
 //! L3 liveness (depends on ack timing), and every timing/blocking figure.
 //!
 //! A level-3 crash kills the tenant's pending write-behind drains, so its
-//! surviving remote prefix would depend on ack timing; both executors
-//! therefore run a **drain barrier** first — the tenant waits until its
-//! outstanding L3 drains are acknowledged, making the post-crash remote
-//! chain (and hence the recovery image) mode-invariant. Levels 1 and 2
-//! need no barrier: those commits are synchronous.
+//! surviving remote prefix would depend on ack timing. Each driver
+//! therefore runs a **drain barrier** first, making the post-crash remote
+//! chain (and hence the recovery image) mode-invariant: [`run_script_sim`]
+//! quiesces the whole transport, and a wall-clock session polls until its
+//! own drains are acknowledged. Levels 1 and 2 need no barrier: those
+//! commits are synchronous.
+//!
+//! Recording the stream is the script and wall-clock drivers' half of a
+//! commit; `run_service` records none, so it never digests a payload.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use bytes::Bytes;
-
 use aic_delta::pa::pa_encode;
-use aic_delta::stats::EncodeReport;
 use aic_delta::strong::fnv1a;
-use aic_memsim::PageIdx;
 
 use crate::clock::{ClockSource, VirtualClock};
-use crate::engine::EngineConfig;
 use crate::fleet::SharedDatasetFleet;
-use crate::format::{CheckpointFile, CheckpointKind};
-use crate::policies::sic_optimal_w_pooled;
+use crate::fleetcore::{build_cut, Committed, FleetCore, RecoveryWindow, TenantCore};
+use crate::format::CheckpointFile;
 use crate::recovery::{RecoveredImage, RecoveryError, StorageHierarchy};
-use crate::service::{
-    build_hierarchy, build_transport, round_of_state, round_state, snapshots_identical,
-    solver_config, ServiceConfig, TenantPolicy,
-};
-use crate::transport::{NetworkTransport, TransportEvent};
+use crate::service::{ServiceConfig, TenantPolicy};
 
 /// One command in a tenant session, executed strictly in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,186 +274,63 @@ pub fn image_digest(img: &RecoveredImage) -> u64 {
     fnv1a(&buf)
 }
 
-/// The per-tenant state machine both executors drive: policy state, the
-/// seq↔ordinal mapping, the solver calibration sums, and the stream under
-/// construction. Everything in here is a pure function of the tenant's own
-/// command history, which is what makes the stream mode-invariant.
-#[derive(Debug)]
-pub(crate) struct TenantCore {
-    pub persona: usize,
-    pub job: u64,
-    policy: TenantPolicy,
-    /// Calibration horizon: Cut commands in the script.
-    rounds: u64,
-    pub w: f64,
-    pub round: u64,
-    pub has_anchor: bool,
-    pub cuts_since_full: u64,
-    ordinal_next: u64,
-    n_records: f64,
-    sum_c1: f64,
-    sum_dl: f64,
-    sum_ds: f64,
-    /// Global seqs this tenant committed (all time, incl. GC'd).
-    pub seqs: HashSet<u64>,
+impl StreamEvent {
+    /// The `Recover` event for a closed recovery window; `img` is the
+    /// recovered image (None when the tenant restarted from scratch).
+    pub(crate) fn recover(window: &RecoveryWindow, img: Option<&RecoveredImage>) -> Self {
+        StreamEvent::Recover {
+            level: window.level,
+            round: window.round,
+            image_digest: img.map_or(0, image_digest),
+        }
+    }
+}
+
+/// One tenant's record stream under construction: the stream-recording
+/// half of the state machine, which only the script and wall-clock
+/// drivers run.
+#[derive(Debug, Default)]
+pub(crate) struct Recorder {
     /// Global seq → tenant ordinal, for live-set translation.
     seq_ordinal: HashMap<u64, u64>,
     pub events: Vec<StreamEvent>,
 }
 
-impl TenantCore {
-    pub fn new(script: &TenantScript, id: usize) -> Self {
-        Self::with_params(script.persona, script.policy, script.rounds(), id)
-    }
-
-    /// Construct from raw parts — RPC-driven sessions declare their
-    /// calibration horizon (`rounds`) at join time instead of carrying a
-    /// script.
-    pub fn with_params(persona: usize, policy: TenantPolicy, rounds: u64, id: usize) -> Self {
-        TenantCore {
-            persona,
-            job: id as u64 + 1,
-            policy,
-            rounds,
-            w: policy.initial_w(),
-            round: 0,
-            has_anchor: false,
-            cuts_since_full: 0,
-            ordinal_next: 1,
-            n_records: 0.0,
-            sum_c1: 0.0,
-            sum_dl: 0.0,
-            sum_ds: 0.0,
-            seqs: HashSet::new(),
-            seq_ordinal: HashMap::new(),
-            events: Vec::new(),
-        }
-    }
-
-    /// Whether the next cut must be a full anchor (same cadence rule as
-    /// [`crate::service::run_service`]).
-    pub fn next_is_full(&self, full_every: u64) -> bool {
-        !self.has_anchor || self.cuts_since_full + 1 >= full_every
-    }
-
-    /// The tenant's live ordinals on `level`, sorted — the anchor GC set.
-    fn live_ordinals(&self, hier: &StorageHierarchy, level: usize) -> Vec<u64> {
-        let mut v: Vec<u64> = hier
-            .live_record_seqs(level)
-            .into_iter()
-            .filter_map(|s| self.seq_ordinal.get(&s).copied())
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Account a committed checkpoint: ordinal assignment, calibration
-    /// update, adaptive re-solve, GC-set capture, stream event.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_commit(
-        &mut self,
-        seq: u64,
-        round: u64,
-        full: bool,
-        c1: f64,
-        dl_intrinsic: f64,
-        ds: f64,
-        file: &CheckpointFile,
-        hier: &StorageHierarchy,
-        solver_cfg: &EngineConfig,
-        cfg: &ServiceConfig,
-    ) -> StreamEvent {
-        let ordinal = self.ordinal_next;
-        self.ordinal_next += 1;
-        self.seqs.insert(seq);
-        self.seq_ordinal.insert(seq, ordinal);
-        self.round = round;
-        if full {
-            self.has_anchor = true;
-            self.cuts_since_full = 0;
-        } else {
-            self.cuts_since_full += 1;
-        }
-        self.n_records += 1.0;
-        self.sum_c1 += c1;
-        self.sum_dl += dl_intrinsic;
-        self.sum_ds += ds;
-        if let TenantPolicy::Adaptive { bootstrap } = self.policy {
-            let base_time = self.rounds as f64 * bootstrap;
-            self.w = sic_optimal_w_pooled(
-                self.sum_c1 / self.n_records,
-                self.sum_dl / self.n_records,
-                self.sum_ds / self.n_records,
-                solver_cfg,
-                base_time,
-                cfg.cores,
-            );
-        }
+impl Recorder {
+    /// Record the commit `t` just made: ordinal, payload digest, w* bits
+    /// and the anchor GC sets, captured while the hierarchy still shows
+    /// exactly this commit's effect.
+    pub fn commit(&mut self, t: &TenantCore, c: &Committed, hier: &StorageHierarchy) {
+        let ordinal = t.commits;
+        self.seq_ordinal.insert(c.seq, ordinal);
+        let live = |level| {
+            let mut v: Vec<u64> = hier
+                .live_record_seqs(level)
+                .into_iter()
+                .filter_map(|s| self.seq_ordinal.get(&s).copied())
+                .collect();
+            v.sort_unstable();
+            v
+        };
         let ev = StreamEvent::Commit {
             ordinal,
-            round,
-            full,
-            payload_digest: payload_digest(file, ordinal),
-            w_bits: self.w.to_bits(),
-            live_l1: self.live_ordinals(hier, 1),
-            live_l2: self.live_ordinals(hier, 2),
+            round: t.round,
+            full: c.full,
+            payload_digest: payload_digest(&c.file, ordinal),
+            w_bits: t.w.to_bits(),
+            live_l1: live(1),
+            live_l2: live(2),
         };
-        self.events.push(ev.clone());
-        ev
+        self.events.push(ev);
     }
 }
 
-/// Serially encode one delta cut for `core`'s next round and return the
-/// commit-ready file plus the solver inputs `(c1, dl_intrinsic, ds)`.
-/// Shared by both executors' *semantics*; the wall-clock mode swaps the
-/// serial `pa_encode` for the DRR shard scheduler, which is bit-identical
-/// by construction (same shard primitives, assembly, and cache-equality
-/// guarantees as `CompressorPool`).
-pub(crate) fn encode_inputs(
-    fleet: &SharedDatasetFleet,
-    cfg: &ServiceConfig,
-    persona: usize,
-    round: u64,
-    report: &EncodeReport,
-) -> (f64, f64, f64) {
-    let _ = round;
-    let raw = fleet.pages_of(persona) as u64 * aic_memsim::PAGE_SIZE as u64;
-    let c1 = cfg.cost_model.raw_io_latency(raw);
-    let dl_intrinsic = cfg.cost_model.pooled_delta_latency(report, cfg.cores);
-    (c1, dl_intrinsic, report.delta_bytes as f64)
-}
-
-/// The canonical live-page set for a persona of `pages` pages.
-pub(crate) fn all_pages(pages: usize) -> Vec<PageIdx> {
-    (0..pages as u64).collect()
-}
-
-/// The canonical cpu-state blob for `round` (see `service::round_state`).
-pub(crate) fn state_of(round: u64) -> Bytes {
-    round_state(round)
-}
-
-/// Apply terminal transport events against the hierarchy: acks land their
-/// pending L3 drains (stale acks for cancelled/GC'd records are skipped).
-pub(crate) fn apply_transport_events(
-    events: &[TransportEvent],
-    hier: &mut StorageHierarchy,
-) -> Result<(), RecoveryError> {
-    for ev in events {
-        if let TransportEvent::Acked { seq, .. } = ev {
-            if hier.pending_remote_seqs().binary_search(seq).is_ok() {
-                hier.ack_remote(*seq)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Replay `scripts` on the deterministic discrete-event executor — the
-/// oracle side of the contract. Commands interleave round-robin across
-/// tenants on a [`VirtualClock`]; the resulting [`FleetStreams`] must be
-/// identical to what [`crate::wallclock::run_script_wallclock`] produces
-/// for the same inputs.
+/// Replay `scripts` on the deterministic script driver — the oracle side
+/// of the contract. Commands interleave round-robin across tenants on a
+/// [`VirtualClock`], each encoded serially with `pa_encode`; a recovery
+/// window closes as soon as it opens. The resulting [`FleetStreams`] must
+/// be identical to what [`crate::wallclock::run_script_wallclock`]
+/// produces for the same inputs.
 ///
 /// Requires `cfg.faults.is_none()`: a transfer that gives up would leave a
 /// level-3 drain barrier waiting forever in wall-clock mode, and the
@@ -472,276 +347,77 @@ pub fn run_script_sim(
     for s in scripts {
         assert!(s.persona < fleet.ranks(), "persona outside the fleet");
     }
-    let solver_cfg = solver_config(cfg);
-    let mut hier = build_hierarchy(cfg);
-    let mut transport = build_transport(cfg);
+    let mut core = FleetCore::new(cfg, None);
     let clock = VirtualClock::new();
-    let mut seq_next: u64 = 1;
-    let mut violations: u64 = 0;
-
-    let mut cores: Vec<TenantCore> = scripts
+    let mut tenants: Vec<(TenantCore, Recorder)> = scripts
         .iter()
         .enumerate()
-        .map(|(i, s)| TenantCore::new(s, i))
+        .map(|(i, s)| {
+            let t = TenantCore::new(s.persona, s.policy, s.rounds(), i);
+            (t, Recorder::default())
+        })
         .collect();
     let mut cursors = vec![0usize; scripts.len()];
     let mut left = vec![false; scripts.len()];
 
     // Round-robin: one command per tenant per pass, until every session
     // has run its script and departed.
-    loop {
-        let mut progressed = false;
+    while left.contains(&false) {
         for (id, script) in scripts.iter().enumerate() {
             if left[id] {
                 continue;
             }
-            progressed = true;
             clock.advance(cfg.tick);
-            let now = clock.now();
-            apply_transport_events(&transport.advance_to(now), &mut hier)?;
-
+            core.land_acks(clock.now())?;
+            let (t, rec) = &mut tenants[id];
             match script.cmds.get(cursors[id]).copied() {
                 Some(TenantCmd::Cut) => {
-                    sim_cut(
-                        fleet,
-                        cfg,
-                        &solver_cfg,
-                        &mut hier,
-                        &mut transport,
-                        &clock,
-                        &mut seq_next,
-                        &mut cores[id],
-                    )?;
+                    let cut = build_cut(fleet, cfg, t, || {
+                        let (prev, dirty) = t.delta_inputs(fleet);
+                        pa_encode(&prev, &dirty, &cfg.pa)
+                    });
+                    let c = core.commit(t, cut, clock.now())?;
+                    clock.advance_to(core.transport.now());
+                    rec.commit(t, &c, &core.hier);
                 }
                 Some(TenantCmd::Crash { level }) => {
-                    sim_crash_recover(
-                        fleet,
-                        &mut hier,
-                        &mut transport,
-                        &clock,
-                        &mut cores[id],
-                        level,
-                        &mut violations,
-                    )?;
+                    assert!((1..=3).contains(&level), "crash level must be 1..=3");
+                    if level == 3 {
+                        // Drain barrier. Quiescing the whole transport
+                        // subsumes the per-tenant wait and is itself
+                        // deterministic.
+                        let (_, idle_at) = core.quiesce()?;
+                        clock.advance_to(idle_at);
+                    }
+                    let (window, img) = core.crash(fleet, t, level)?;
+                    rec.events.push(StreamEvent::Crash { level });
+                    rec.events.push(StreamEvent::recover(&window, img.as_ref()));
+                    core.close_window(window);
                 }
                 None => {
-                    sim_leave(
-                        fleet,
-                        &mut hier,
-                        &mut transport,
-                        &mut cores[id],
-                        &mut violations,
-                    );
+                    let d = core.leave(fleet, t);
+                    rec.events.push(StreamEvent::Leave {
+                        verified: d.verified,
+                        leaked: d.leaked,
+                    });
                     left[id] = true;
                 }
             }
             cursors[id] += 1;
         }
-        if !progressed {
-            break;
-        }
     }
-    let (events, _) = transport.quiesce();
-    apply_transport_events(&events, &mut hier)?;
-    hier.try_reclaim_all();
 
     Ok(FleetStreams {
-        streams: cores
+        streams: tenants
             .into_iter()
             .enumerate()
-            .map(|(i, c)| RecordStream {
+            .map(|(i, (_, rec))| RecordStream {
                 tenant: i,
-                events: c.events,
+                events: rec.events,
             })
             .collect(),
-        violations,
+        violations: core.violations(),
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sim_cut(
-    fleet: &SharedDatasetFleet,
-    cfg: &ServiceConfig,
-    solver_cfg: &EngineConfig,
-    hier: &mut StorageHierarchy,
-    transport: &mut NetworkTransport,
-    clock: &VirtualClock,
-    seq_next: &mut u64,
-    core: &mut TenantCore,
-) -> Result<(), RecoveryError> {
-    let now = clock.now();
-    let round = core.round + 1;
-    let full = core.next_is_full(cfg.full_every);
-    let seq = *seq_next;
-    *seq_next += 1;
-
-    let (file, c1, dl, ds) = if full {
-        let snap = fleet.snapshot(core.persona, round);
-        let raw = snap.bytes();
-        let c1 = cfg.cost_model.raw_io_latency(raw);
-        (
-            CheckpointFile::full(core.job, seq, snap, state_of(round)),
-            c1,
-            0.0,
-            raw as f64,
-        )
-    } else {
-        let prev = fleet.snapshot(core.persona, round - 1);
-        let dirty = fleet.dirty(core.persona, round);
-        let (pa_file, report) = pa_encode(&prev, &dirty, &cfg.pa);
-        let (c1, dl, ds) = encode_inputs(fleet, cfg, core.persona, round, &report);
-        (
-            CheckpointFile::delta(
-                core.job,
-                seq,
-                pa_file,
-                all_pages(fleet.pages_of(core.persona)),
-                state_of(round),
-            ),
-            c1,
-            dl,
-            ds,
-        )
-    };
-    debug_assert_eq!(file.kind == CheckpointKind::Full, full);
-    let (receipt, wire) = hier.commit_write_behind(&file)?;
-    if full {
-        let stale: Vec<u64> = transport
-            .pending_seqs()
-            .into_iter()
-            .filter(|s| *s < seq && core.seqs.contains(s))
-            .collect();
-        transport.cancel_seqs(&stale);
-    }
-    let out = transport.enqueue(seq, wire, now + receipt.raid.seconds);
-    apply_transport_events(&out.events, hier)?;
-    clock.advance_to(transport.now());
-    core.on_commit(seq, round, full, c1, dl, ds, &file, hier, solver_cfg, cfg);
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sim_crash_recover(
-    fleet: &SharedDatasetFleet,
-    hier: &mut StorageHierarchy,
-    transport: &mut NetworkTransport,
-    clock: &VirtualClock,
-    core: &mut TenantCore,
-    level: usize,
-    violations: &mut u64,
-) -> Result<(), RecoveryError> {
-    assert!((1..=3).contains(&level), "crash level must be 1..=3");
-    if level == 3 {
-        // Drain barrier: the tenant's outstanding L3 drains must ack
-        // before the node dies, or the surviving remote prefix would be
-        // timing-dependent. Quiescing the whole transport subsumes the
-        // per-tenant wait and is itself deterministic.
-        let (events, idle_at) = transport.quiesce();
-        apply_transport_events(&events, hier)?;
-        clock.advance_to(idle_at);
-        debug_assert!(
-            !hier
-                .pending_remote_seqs()
-                .iter()
-                .any(|s| core.seqs.contains(s)),
-            "drain barrier left tenant drains pending"
-        );
-    }
-    let lost = hier.fail_job(core.job, level)?;
-    transport.cancel_seqs(&lost);
-    core.events.push(StreamEvent::Crash { level });
-
-    let mut recovered = None;
-    for lvl in level..=3 {
-        if let Ok(img) = hier.recover_job(lvl, core.job) {
-            recovered = Some((lvl, img));
-            break;
-        }
-    }
-    match recovered {
-        Some((lvl, img)) => {
-            let round = round_of_state(&img.cpu_state).unwrap_or(u64::MAX);
-            let identical = round != u64::MAX
-                && snapshots_identical(&fleet.snapshot(core.persona, round), &img.snapshot);
-            if !identical {
-                *violations += 1;
-            }
-            // Pinned read window: the served chain's records must stay
-            // readable for the window (the epoch-isolation invariant).
-            let pins = hier.pin_readers();
-            let locs: Vec<_> = hier
-                .live_record_seqs(lvl)
-                .into_iter()
-                .filter(|s| core.seqs.contains(s))
-                .filter_map(|s| hier.loc_of(lvl, s).map(|l| (s, l)))
-                .collect();
-            for (_, loc) in &locs {
-                if hier.read_at(lvl, *loc).is_none() {
-                    *violations += 1;
-                }
-            }
-            hier.unpin_readers(pins);
-            core.round = round;
-            core.events.push(StreamEvent::Recover {
-                level: lvl,
-                round,
-                image_digest: image_digest(&img),
-            });
-        }
-        None => {
-            core.round = 0;
-            core.has_anchor = false;
-            core.cuts_since_full = 0;
-            core.events.push(StreamEvent::Recover {
-                level: 0,
-                round: 0,
-                image_digest: 0,
-            });
-        }
-    }
-    Ok(())
-}
-
-fn sim_leave(
-    fleet: &SharedDatasetFleet,
-    hier: &mut StorageHierarchy,
-    transport: &mut NetworkTransport,
-    core: &mut TenantCore,
-    violations: &mut u64,
-) {
-    let mut verified = None;
-    for lvl in 1..=3 {
-        if let Ok(img) = hier.recover_job(lvl, core.job) {
-            let round = round_of_state(&img.cpu_state).unwrap_or(u64::MAX);
-            verified = Some(
-                round != u64::MAX
-                    && snapshots_identical(&fleet.snapshot(core.persona, round), &img.snapshot),
-            );
-            break;
-        }
-    }
-    if verified == Some(false) {
-        *violations += 1;
-    }
-    let (_, lost) = hier.remove_job(core.job);
-    let mine: Vec<u64> = transport
-        .pending_seqs()
-        .into_iter()
-        .filter(|s| core.seqs.contains(s) || lost.contains(s))
-        .collect();
-    transport.cancel_seqs(&mine);
-    let leaked: u64 = (1..=3)
-        .map(|lvl| {
-            hier.live_record_seqs(lvl)
-                .iter()
-                .filter(|s| core.seqs.contains(s))
-                .count() as u64
-        })
-        .sum();
-    if leaked != 0 {
-        *violations += 1;
-    }
-    core.events.push(StreamEvent::Leave { verified, leaked });
 }
 
 #[cfg(test)]

@@ -1,56 +1,54 @@
-//! `aicd` — the multi-tenant fleet checkpoint service.
+//! `aicd` — the multi-tenant fleet checkpoint service, simulated mode.
 //!
-//! A deterministic discrete-event daemon that admits N simulated tenants,
-//! each with its own checkpoint policy, crash schedule, and working-set
-//! persona (a rank of a [`crate::fleet::SharedDatasetFleet`]), all sharing:
+//! [`run_service`] is the deterministic discrete-event driver of the fleet
+//! core: the one tenant commit/crash/recover/leave state machine that the
+//! script-replay and wall-clock executors run too (DESIGN.md §9). It admits
+//! N simulated tenants, each with its own checkpoint policy, crash
+//! schedule, and working-set persona (a rank of a
+//! [`crate::fleet::SharedDatasetFleet`]), all sharing:
 //!
 //! * **one [`CompressorPool`]** — real encode work for every tenant runs
 //!   through the same shared pool; *virtual* encode time is scheduled by a
 //!   deficit-round-robin (DRR) dispatcher over `cores` virtual encode
 //!   cores, so one heavy-dirty tenant cannot starve the light ones;
-//! * **one write-behind [`NetworkTransport`]** — every tenant's L3 drain
-//!   contends on the same SF-way fair-shared link behind one bounded
-//!   queue (back-pressure stalls the cutter, it never drops);
-//! * **one [`StorageHierarchy`]** — a single `CheckpointLog` per level with
-//!   per-tenant liveness marks (`job`-scoped anchor GC, gap-cuts, and
-//!   departure reclamation) and epoch pins, so one tenant's recovery never
-//!   races another tenant's compaction or anchor GC.
+//! * **one write-behind [`crate::transport::NetworkTransport`]** — every
+//!   tenant's L3 drain contends on the same SF-way fair-shared link behind
+//!   one bounded queue (back-pressure stalls the cutter, it never drops);
+//! * **one [`crate::recovery::StorageHierarchy`]** — a single
+//!   `CheckpointLog` per level with per-tenant liveness marks (`job`-scoped
+//!   anchor GC, gap-cuts, and departure reclamation) and epoch pins, so one
+//!   tenant's recovery never races another tenant's compaction or anchor GC.
 //!
-//! Admission control is a bounded tenant-slot table plus encode-demand
-//! back-pressure: when the virtual encode backlog exceeds
+//! What only this driver does: time advances in [`ServiceConfig::tick`]
+//! steps of a virtual clock; admission is a bounded tenant-slot table plus
+//! encode-demand back-pressure (when the virtual encode backlog exceeds
 //! [`ServiceConfig::backlog_limit`], waiting tenants **stall** in a FIFO
-//! queue — they are never rejected.
-//!
-//! Everything runs on a virtual clock in [`ServiceConfig::tick`] steps; the
-//! same seed and specs produce a byte-identical [`ServiceReport`]. The
-//! service asserts its own isolation invariants as it runs (bit-identical
-//! recovery against the persona's pure-function state, pinned-reader
-//! safety under concurrent compaction, full reclamation of departed
-//! tenants) and counts violations instead of panicking, so sweeps can gate
-//! on [`ServiceReport::isolation_violations`]` == 0`.
+//! queue — they are never rejected); a recovery window closes once the
+//! recovery's read time has passed; and the outcome is a
+//! [`ServiceReport`] with per-tenant wire bytes attributed from acks, plus
+//! the `fleet.*` metrics. The same seed and specs produce a byte-identical
+//! report. Isolation invariants (bit-identical recovery against the
+//! persona's pure-function state, pinned-reader safety under concurrent
+//! compaction, full reclamation of departed tenants) are counted, not
+//! panicked on, so sweeps can gate on
+//! [`ServiceReport::isolation_violations`]` == 0`.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 use aic_delta::pa::{plan_shards, PaDeltaFile, PaParams};
-use aic_delta::stats::CostModel;
-use aic_memsim::{PageIdx, Snapshot};
+use aic_delta::stats::{CostModel, EncodeReport};
 use aic_model::FailureRates;
-use aic_obs::{Counter, Gauge, Histogram, Obs};
+use aic_obs::{Counter, Field, Gauge, Histogram, Obs};
 
 use crate::clock::{ClockSource, VirtualClock};
 use crate::concurrent::{CompressJob, CompressorPool};
-use crate::engine::{Compressor, EngineConfig};
 use crate::fleet::SharedDatasetFleet;
-use crate::format::{CheckpointFile, CheckpointKind};
-use crate::log::RecordLoc;
-use crate::policies::sic_optimal_w_pooled;
-use crate::recovery::{RecoveryError, RecoveryLevel, StorageHierarchy};
-use crate::transport::{
-    LinkConfig, NetworkTransport, TransportEvent, TransportFaults, WriteBehindConfig,
+use crate::fleetcore::{
+    build_cut, local_write_latency, FleetCore, RecoveryWindow, TenantCore, BLOCK_US_BUCKETS,
 };
+use crate::recovery::RecoveryError;
+use crate::transport::{TransportEvent, TransportFaults};
 
 /// When a tenant cuts: a fixed interval, or the adaptive w* recomputed
 /// from its own running calibration means after every checkpoint.
@@ -124,8 +122,6 @@ pub struct ServiceConfig {
     pub dedup: bool,
     /// Cut a full anchor every N checkpoints per tenant.
     pub full_every: u64,
-    /// Verify bit-identical recovery at every departure.
-    pub verify: bool,
     /// Encode/disk latency model.
     pub cost_model: CostModel,
     /// Delta compressor parameters.
@@ -138,7 +134,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// Small-fleet defaults: 2 MB/s shared link, 4 virtual cores, dedup
-    /// on, verification on.
+    /// on.
     pub fn fleet_default(rates: FailureRates) -> Self {
         ServiceConfig {
             slots: 64,
@@ -154,7 +150,6 @@ impl ServiceConfig {
             seg_capacity: 4 << 20,
             dedup: true,
             full_every: 4,
-            verify: true,
             cost_model: CostModel::default(),
             pa: PaParams::default(),
             rates,
@@ -185,20 +180,6 @@ pub struct FleetObs {
     departures: Counter,
     gave_up: Counter,
 }
-
-/// Cut-blocking histogram buckets, microseconds.
-pub(crate) static BLOCK_US_BUCKETS: [u64; 10] = [
-    100,
-    1_000,
-    10_000,
-    100_000,
-    500_000,
-    1_000_000,
-    5_000_000,
-    10_000_000,
-    60_000_000,
-    600_000_000,
-];
 
 /// Register the full `fleet.*` metric catalogue on `obs` and return the
 /// handles. Idempotent per registry (names are stable statics).
@@ -246,7 +227,7 @@ pub struct TenantReport {
     /// Crash recoveries performed.
     pub recoveries: u64,
     /// Departure-time recovery verified bit-identical (`None` when
-    /// verification was off or nothing was recoverable).
+    /// nothing was recoverable).
     pub verified: Option<bool>,
 }
 
@@ -303,54 +284,37 @@ enum TenantState {
     Waiting,
     Working,
     Cutting,
+    /// Down until `until`, holding the recovery's pinned read window.
     Recovering {
         until: f64,
-        pins: [u64; 3],
-        level: usize,
-        locs: Vec<(u64, RecordLoc)>,
-        resume_round: u64,
+        window: RecoveryWindow,
     },
     Departed,
 }
 
-/// One encode job riding the DRR queues: the real delta payload (already
-/// encoded by the shared pool) plus the virtual shard costs still to be
-/// scheduled on the virtual cores.
+/// One encode job riding the DRR queues: a delta's payload (already
+/// encoded by the shared pool; none for an anchor) plus the virtual shard
+/// costs still to be scheduled on the virtual cores. The cut itself is
+/// built when the job commits.
 #[derive(Debug)]
 struct EncodeJob {
     started: f64,
     ready: f64,
-    round: u64,
-    is_full: bool,
-    c1: f64,
-    delta_bytes: u64,
-    dl_intrinsic: f64,
     /// `(bytes, virtual seconds)` per shard, dispatch order.
     shards: VecDeque<(u64, f64)>,
     /// Completion high-water mark over dispatched shards.
     end: f64,
-    file: Option<PaDeltaFile>,
-    live_pages: Vec<PageIdx>,
+    delta: Option<(PaDeltaFile, EncodeReport)>,
 }
 
 #[derive(Debug)]
 struct Tenant {
     spec: TenantSpec,
-    job: u64,
+    core: TenantCore,
     state: TenantState,
-    w: f64,
-    round: u64,
-    cuts: u64,
-    cuts_since_full: u64,
-    has_anchor: bool,
     work_done: f64,
     busy_until: f64,
     crash_idx: usize,
-    seqs: HashSet<u64>,
-    n_records: f64,
-    sum_c1: f64,
-    sum_dl: f64,
-    sum_ds: f64,
     w_trajectory: Vec<f64>,
     blockings: Vec<f64>,
     wire_bytes: u64,
@@ -363,24 +327,13 @@ struct Tenant {
 
 impl Tenant {
     fn new(spec: TenantSpec, id: usize) -> Self {
-        let w = spec.policy.initial_w();
         Tenant {
+            core: TenantCore::new(spec.persona, spec.policy, spec.rounds, id),
             spec,
-            job: id as u64 + 1,
             state: TenantState::NotJoined,
-            w,
-            round: 0,
-            cuts: 0,
-            cuts_since_full: 0,
-            has_anchor: false,
             work_done: 0.0,
             busy_until: 0.0,
             crash_idx: 0,
-            seqs: HashSet::new(),
-            n_records: 0.0,
-            sum_c1: 0.0,
-            sum_dl: 0.0,
-            sum_ds: 0.0,
             w_trajectory: Vec::new(),
             blockings: Vec::new(),
             wire_bytes: 0,
@@ -391,85 +344,13 @@ impl Tenant {
             queue: VecDeque::new(),
         }
     }
-}
 
-/// The canonical `cpu_state` blob for a fleet tenant: the round number,
-/// little-endian — all the "process state" a persona needs to resume.
-pub(crate) fn round_state(round: u64) -> Bytes {
-    Bytes::copy_from_slice(&round.to_le_bytes())
-}
-
-/// Inverse of [`round_state`].
-pub(crate) fn round_of_state(cpu_state: &[u8]) -> Option<u64> {
-    cpu_state.try_into().map(u64::from_le_bytes).ok()
-}
-
-/// Bit-identical snapshot comparison (page indices and contents).
-pub(crate) fn snapshots_identical(a: &Snapshot, b: &Snapshot) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b.iter())
-            .all(|((ia, pa), (ib, pb))| ia == ib && pa.as_slice() == pb.as_slice())
-}
-
-/// Build the shared three-level storage hierarchy exactly as the fleet
-/// service configures it (testbed store models, segment capacity, dedup,
-/// obs attachment). Shared by [`run_service`], the script-replay executor
-/// ([`crate::script::run_script_sim`]), and the wall-clock server
-/// ([`crate::wallclock::FleetServer`]) so all three commit through
-/// identical storage semantics.
-pub(crate) fn build_hierarchy(cfg: &ServiceConfig) -> StorageHierarchy {
-    let mut hier = StorageHierarchy::with_segments(
-        crate::storage::FlatStore::new(crate::storage::BandwidthModel::new(100e6, 1e-3)),
-        crate::storage::Raid5Group::new(
-            4,
-            256 << 10,
-            crate::storage::BandwidthModel::new(471.7e6, 1e-3),
-        ),
-        crate::storage::FlatStore::new(crate::storage::BandwidthModel::new(
-            cfg.b3,
-            cfg.link_latency,
-        )),
-        cfg.seg_capacity,
-    );
-    if cfg.dedup {
-        hier.enable_dedup();
+    fn is_active(&self) -> bool {
+        matches!(
+            self.state,
+            TenantState::Working | TenantState::Cutting | TenantState::Recovering { .. }
+        )
     }
-    if let Some(o) = &cfg.obs {
-        hier.attach_obs(o);
-    }
-    hier
-}
-
-/// Build the shared write-behind transport as the fleet service configures
-/// it. See [`build_hierarchy`] for who shares it.
-pub(crate) fn build_transport(cfg: &ServiceConfig) -> NetworkTransport {
-    let mut transport = NetworkTransport::new(
-        LinkConfig::new(cfg.b3, cfg.link_latency, cfg.sharing_factor),
-        WriteBehindConfig {
-            queue_depth: cfg.queue_depth,
-            faults: cfg.faults,
-            ..WriteBehindConfig::default()
-        },
-    );
-    if let Some(o) = &cfg.obs {
-        transport.attach_obs(o);
-    }
-    transport
-}
-
-/// The engine view the adaptive w* solver sees of the shared fleet
-/// infrastructure. Both execution modes (simulated and wall-clock) build
-/// the solver's inputs from the *same* deterministic encode reports, so a
-/// tenant's w* trajectory is mode-invariant (part of the oracle contract).
-pub(crate) fn solver_config(cfg: &ServiceConfig) -> EngineConfig {
-    let mut solver_cfg = EngineConfig::testbed(cfg.rates.clone());
-    solver_cfg.b3 = cfg.b3;
-    solver_cfg.sharing_factor = cfg.sharing_factor;
-    solver_cfg.cores = cfg.cores;
-    solver_cfg.cost_model = cfg.cost_model;
-    solver_cfg.compressor = Compressor::PaDelta(cfg.pa);
-    solver_cfg
 }
 
 /// A matured encode job waiting for its virtual completion time so it can
@@ -479,6 +360,162 @@ struct MaturedJob {
     at: f64,
     tenant: usize,
     job: EncodeJob,
+}
+
+/// The simulated driver: the fleet core plus what only this driver keeps —
+/// tenant schedules and reports, per-tenant wire attribution, matured jobs
+/// and the run totals.
+struct Service<'a> {
+    fleet: &'a SharedDatasetFleet,
+    cfg: &'a ServiceConfig,
+    fobs: Option<FleetObs>,
+    core: FleetCore,
+    tenants: Vec<Tenant>,
+    /// Global seq → owning tenant, for wire attribution.
+    seq_owner: HashMap<u64, usize>,
+    matured: Vec<MaturedJob>,
+    total_cuts: u64,
+    total_wire: u64,
+    gave_up: u64,
+    horizon: f64,
+}
+
+impl Service<'_> {
+    /// Account terminal transport events (their acks already landed):
+    /// attribute wire bytes (shipped + wasted retries) to the owning tenant.
+    fn account(&mut self, events: &[TransportEvent]) {
+        for ev in events {
+            match *ev {
+                TransportEvent::Acked {
+                    seq,
+                    at,
+                    bytes,
+                    wasted,
+                    ..
+                } => {
+                    self.horizon = self.horizon.max(at);
+                    let shipped = bytes + wasted;
+                    if let Some(&id) = self.seq_owner.get(&seq) {
+                        self.tenants[id].wire_bytes += shipped;
+                    }
+                    self.total_wire += shipped;
+                    if let Some(o) = &self.fobs {
+                        o.wire_bytes.add(bytes);
+                        o.wire_wasted.add(wasted);
+                    }
+                }
+                TransportEvent::GaveUp { at, .. } => {
+                    self.horizon = self.horizon.max(at);
+                    self.gave_up += 1;
+                    if let Some(o) = &self.fobs {
+                        o.gave_up.inc();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Commit a matured job at its virtual completion time; the tenant
+    /// departs after its last round.
+    fn commit(&mut self, m: MaturedJob) -> Result<(), RecoveryError> {
+        let id = m.tenant;
+        if !matches!(self.tenants[id].state, TenantState::Cutting) {
+            return Ok(()); // crashed while the job was in flight
+        }
+        let t = &mut self.tenants[id].core;
+        let cut = build_cut(self.fleet, self.cfg, t, || {
+            m.job.delta.expect("a delta job carries its payload")
+        });
+        let c = self.core.commit(t, cut, m.at)?;
+        self.seq_owner.insert(c.seq, id);
+        self.account(&c.events);
+        let cut_end = m.at + c.c2 + c.stalled_for;
+        let blocking = cut_end - m.job.started;
+        self.horizon = self.horizon.max(cut_end);
+        self.total_cuts += 1;
+        let t = &mut self.tenants[id];
+        t.blockings.push(blocking);
+        t.w_trajectory.push(t.core.w);
+        t.work_done = 0.0;
+        t.busy_until = cut_end;
+        t.state = TenantState::Working;
+        if let Some(o) = &self.fobs {
+            o.cuts.inc();
+            o.block_us.observe((blocking * 1e6).round() as u64);
+        }
+        if t.core.commits >= t.spec.rounds {
+            self.depart(id);
+        }
+        Ok(())
+    }
+
+    /// Crash tenant `id` at `level`: its in-flight cut dies with the node,
+    /// and the recovery window stays open for the recovery's read time.
+    fn crash(&mut self, id: usize, level: usize, now: f64) -> Result<(), RecoveryError> {
+        self.matured.retain(|m| m.tenant != id);
+        let t = &mut self.tenants[id];
+        t.queue.clear();
+        t.deficit = 0;
+        let (window, _) = self.core.crash(self.fleet, &mut t.core, level)?;
+        t.recoveries += 1;
+        let tenant: Field = ("tenant", (id as u64).into());
+        if let Some(o) = &self.fobs {
+            o.recoveries.inc();
+            let level = ("level", (level as u64).into());
+            o.obs
+                .spans
+                .point("fleet.crash", now, vec![tenant.clone(), level]);
+        }
+        if window.level == 0 {
+            // Nothing recoverable anywhere (crashed before the first
+            // anchor acked): restart from scratch.
+            t.work_done = 0.0;
+            t.busy_until = now;
+            t.state = TenantState::Working;
+            if let Some(o) = &self.fobs {
+                let fields = vec![tenant, ("from_scratch", true.into())];
+                o.obs.spans.point("fleet.recover", now, fields);
+            }
+            return Ok(());
+        }
+        if let Some(o) = &self.fobs {
+            o.pin_windows.inc();
+            let fields = vec![
+                tenant,
+                ("level", (window.level as u64).into()),
+                ("round", window.round.into()),
+                ("identical", window.identical.into()),
+            ];
+            o.obs.spans.point("fleet.recover", now, fields);
+        }
+        t.state = TenantState::Recovering {
+            until: now + window.read_seconds.max(self.cfg.tick),
+            window,
+        };
+        Ok(())
+    }
+
+    /// Depart tenant `id` through the core's leave step.
+    fn depart(&mut self, id: usize) {
+        let t = &mut self.tenants[id];
+        t.verified = self.core.leave(self.fleet, &t.core).verified;
+        t.state = TenantState::Departed;
+        if let Some(o) = &self.fobs {
+            o.departures.inc();
+            o.obs.spans.point(
+                "fleet.leave",
+                t.busy_until,
+                vec![
+                    ("tenant", (id as u64).into()),
+                    ("cuts", t.core.commits.into()),
+                ],
+            );
+        }
+    }
+
+    fn active(&self) -> usize {
+        self.tenants.iter().filter(|t| t.is_active()).count()
+    }
 }
 
 /// Run the fleet service to completion: every tenant joins, cuts its
@@ -504,80 +541,29 @@ pub fn run_service(
     }
 
     let fobs = cfg.obs.as_ref().map(register_metrics);
-    let mut hier = build_hierarchy(cfg);
-    let mut transport = build_transport(cfg);
+    let core = FleetCore::new(cfg, fobs.as_ref().map(|o| o.violations.clone()));
     let pool = CompressorPool::spawn_with_obs(cfg.cores, 64, cfg.obs.as_ref());
-    let solver_cfg = solver_config(cfg);
-
-    let mut tenants: Vec<Tenant> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Tenant::new(s.clone(), i))
-        .collect();
+    let mut svc = Service {
+        fleet,
+        cfg,
+        fobs,
+        core,
+        tenants: specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| Tenant::new(s.clone(), i))
+            .collect(),
+        seq_owner: HashMap::new(),
+        matured: Vec::new(),
+        total_cuts: 0,
+        total_wire: 0,
+        gave_up: 0,
+        horizon: 0.0,
+    };
     let mut admission_q: VecDeque<usize> = VecDeque::new();
-    let mut matured: Vec<MaturedJob> = Vec::new();
     let mut cores: Vec<f64> = vec![0.0; cfg.cores];
-    let mut seq_next: u64 = 1;
-    let mut seq_owner: HashMap<u64, usize> = HashMap::new();
-    let mut violations: u64 = 0;
-    let mut gave_up: u64 = 0;
-    let mut total_cuts: u64 = 0;
-    let mut total_wire: u64 = 0;
-    let mut horizon: f64 = 0.0;
-    // The simulated mode drives a [`VirtualClock`]; the wall-clock mode
-    // (`crate::wallclock`) runs the same machinery off a `MonotonicClock`.
     let clock = VirtualClock::new();
     let mut ticks: u64 = 0;
-
-    // Apply terminal transport events: acks land their pending drains and
-    // attribute wire bytes (shipped + wasted retries) to the owning tenant.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_events(
-        events: &[TransportEvent],
-        hier: &mut StorageHierarchy,
-        tenants: &mut [Tenant],
-        seq_owner: &HashMap<u64, usize>,
-        fobs: &Option<FleetObs>,
-        total_wire: &mut u64,
-        gave_up: &mut u64,
-        horizon: &mut f64,
-    ) -> Result<(), RecoveryError> {
-        for ev in events {
-            match ev {
-                TransportEvent::Acked {
-                    seq,
-                    at,
-                    bytes,
-                    wasted,
-                    ..
-                } => {
-                    *horizon = horizon.max(*at);
-                    let shipped = bytes + wasted;
-                    if let Some(&id) = seq_owner.get(seq) {
-                        tenants[id].wire_bytes += shipped;
-                    }
-                    *total_wire += shipped;
-                    if let Some(o) = fobs {
-                        o.wire_bytes.add(*bytes);
-                        o.wire_wasted.add(*wasted);
-                    }
-                    // Acks for drains dropped by a crash or an anchored ack
-                    // are stale: the transfer finished but nothing needs it.
-                    if hier.pending_remote_seqs().binary_search(seq).is_ok() {
-                        hier.ack_remote(*seq)?;
-                    }
-                }
-                TransportEvent::GaveUp { at, .. } => {
-                    *horizon = horizon.max(*at);
-                    *gave_up += 1;
-                    if let Some(o) = fobs {
-                        o.gave_up.inc();
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 
     loop {
         let now = clock.now();
@@ -588,140 +574,24 @@ pub fn run_service(
         );
 
         // 1. Network: drains that completed by this tick.
-        let events = transport.advance_to(now);
-        apply_events(
-            &events,
-            &mut hier,
-            &mut tenants,
-            &seq_owner,
-            &fobs,
-            &mut total_wire,
-            &mut gave_up,
-            &mut horizon,
-        )?;
+        let events = svc.core.land_acks(now)?;
+        svc.account(&events);
 
         // 2. Matured encode jobs commit in global (completion, tenant)
         // order — the log's global seq order is exactly this order.
-        matured.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.tenant.cmp(&b.tenant)));
-        let due: Vec<MaturedJob> = {
-            let mut rest = Vec::new();
-            let mut due = Vec::new();
-            for m in matured.drain(..) {
-                if m.at <= now {
-                    due.push(m);
-                } else {
-                    rest.push(m);
-                }
-            }
-            matured = rest;
-            due
-        };
+        svc.matured
+            .sort_by(|a, b| a.at.total_cmp(&b.at).then(a.tenant.cmp(&b.tenant)));
+        let (due, rest): (Vec<MaturedJob>, Vec<MaturedJob>) =
+            svc.matured.drain(..).partition(|m| m.at <= now);
+        svc.matured = rest;
         for m in due {
-            let id = m.tenant;
-            if !matches!(tenants[id].state, TenantState::Cutting) {
-                continue; // crashed while the job was in flight
-            }
-            let seq = seq_next;
-            seq_next += 1;
-            let round = m.job.round;
-            let file = if m.job.is_full {
-                CheckpointFile::full(
-                    tenants[id].job,
-                    seq,
-                    fleet.snapshot(tenants[id].spec.persona, round),
-                    round_state(round),
-                )
-            } else {
-                CheckpointFile::delta(
-                    tenants[id].job,
-                    seq,
-                    m.job.file.expect("delta job carries its payload"),
-                    m.job.live_pages,
-                    round_state(round),
-                )
-            };
-            let is_full = file.kind == CheckpointKind::Full;
-            let (receipt, wire) = hier.commit_write_behind(&file)?;
-            seq_owner.insert(seq, id);
-            tenants[id].seqs.insert(seq);
-            if is_full {
-                // A committed anchor supersedes the tenant's own older
-                // drains; selective cancel leaves other tenants' transfers
-                // untouched (the engine's global cancel_below would not).
-                let stale: Vec<u64> = transport
-                    .pending_seqs()
-                    .into_iter()
-                    .filter(|s| *s < seq && tenants[id].seqs.contains(s))
-                    .collect();
-                transport.cancel_seqs(&stale);
-            }
-            let c2 = receipt.raid.seconds;
-            let out = transport.enqueue(seq, wire, m.at + c2);
-            apply_events(
-                &out.events,
-                &mut hier,
-                &mut tenants,
-                &seq_owner,
-                &fobs,
-                &mut total_wire,
-                &mut gave_up,
-                &mut horizon,
-            )?;
-            let cut_end = m.at + c2 + out.stalled_for;
-            let blocking = cut_end - m.job.started;
-            horizon = horizon.max(cut_end);
-            let t = &mut tenants[id];
-            t.blockings.push(blocking);
-            t.round = round;
-            t.cuts += 1;
-            total_cuts += 1;
-            if is_full {
-                t.has_anchor = true;
-                t.cuts_since_full = 0;
-            } else {
-                t.cuts_since_full += 1;
-            }
-            t.n_records += 1.0;
-            t.sum_c1 += m.job.c1;
-            t.sum_dl += m.job.dl_intrinsic;
-            t.sum_ds += m.job.delta_bytes as f64;
-            if let TenantPolicy::Adaptive { bootstrap } = t.spec.policy {
-                let base_time = t.spec.rounds as f64 * bootstrap;
-                t.w = sic_optimal_w_pooled(
-                    t.sum_c1 / t.n_records,
-                    t.sum_dl / t.n_records,
-                    t.sum_ds / t.n_records,
-                    &solver_cfg,
-                    base_time,
-                    cfg.cores,
-                );
-            }
-            t.w_trajectory.push(t.w);
-            t.work_done = 0.0;
-            t.busy_until = cut_end;
-            t.state = TenantState::Working;
-            if let Some(o) = &fobs {
-                o.cuts.inc();
-                o.block_us.observe((blocking * 1e6).round() as u64);
-            }
-            if t.cuts >= t.spec.rounds {
-                depart(
-                    id,
-                    fleet,
-                    cfg,
-                    &mut tenants,
-                    &mut hier,
-                    &mut transport,
-                    &fobs,
-                    &mut violations,
-                );
-            }
+            svc.commit(m)?;
         }
 
         // 3. Crashes due by now (Working or Cutting tenants only; a tenant
         // mid-recovery defers its next crash until it is back up).
         let mut crashes: Vec<(f64, usize, usize)> = Vec::new();
-        for (id, t) in tenants.iter().enumerate() {
+        for (id, t) in svc.tenants.iter().enumerate() {
             if !matches!(t.state, TenantState::Working | TenantState::Cutting) {
                 continue;
             }
@@ -733,91 +603,46 @@ pub fn run_service(
         }
         crashes.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         for (_, id, level) in crashes {
-            tenants[id].crash_idx += 1;
-            crash_and_recover(
-                id,
-                level,
-                now,
-                fleet,
-                cfg,
-                &mut tenants,
-                &mut hier,
-                &mut transport,
-                &mut matured,
-                &fobs,
-                &mut violations,
-            )?;
+            svc.tenants[id].crash_idx += 1;
+            svc.crash(id, level, now)?;
         }
 
         // 4. Recovery windows that close by now: the pinned locations must
-        // still be readable — the epoch-isolation invariant — then the
-        // pins release and the tenant resumes.
-        for t in tenants.iter_mut() {
-            let TenantState::Recovering {
-                until,
-                pins,
-                level,
-                ref locs,
-                resume_round,
-            } = t.state
-            else {
-                continue;
-            };
-            if until > now {
-                continue;
-            }
-            for (_, loc) in locs {
-                if hier.read_at(level, *loc).is_none() {
-                    violations += 1;
-                    if let Some(o) = &fobs {
-                        o.violations.inc();
-                    }
+        // still be readable, then the pins release and the tenant resumes.
+        for t in svc.tenants.iter_mut() {
+            match std::mem::replace(&mut t.state, TenantState::Working) {
+                TenantState::Recovering { until, window } if until <= now => {
+                    svc.core.close_window(window);
+                    t.work_done = 0.0;
+                    t.busy_until = now;
                 }
+                other => t.state = other,
             }
-            hier.unpin_readers(pins);
-            t.round = resume_round;
-            t.work_done = 0.0;
-            t.busy_until = now;
-            t.state = TenantState::Working;
         }
 
         // 5. Admission: arrivals queue FIFO; the gate admits while slots
         // are free and the encode backlog is under the limit. A blocked
         // head stalls (counted) — it is never dropped.
-        for (id, t) in tenants.iter_mut().enumerate() {
+        for (id, t) in svc.tenants.iter_mut().enumerate() {
             if matches!(t.state, TenantState::NotJoined) && t.spec.join_at <= now {
                 t.state = TenantState::Waiting;
                 admission_q.push_back(id);
             }
         }
         let backlog = cores.iter().copied().fold(f64::INFINITY, f64::min) - now;
-        loop {
-            let active = tenants
-                .iter()
-                .filter(|t| {
-                    matches!(
-                        t.state,
-                        TenantState::Working
-                            | TenantState::Cutting
-                            | TenantState::Recovering { .. }
-                    )
-                })
-                .count();
-            let Some(&head) = admission_q.front() else {
-                break;
-            };
-            if active >= cfg.slots || backlog > cfg.backlog_limit {
-                if let Some(o) = &fobs {
+        while let Some(&head) = admission_q.front() {
+            if svc.active() >= cfg.slots || backlog > cfg.backlog_limit {
+                if let Some(o) = &svc.fobs {
                     o.admission_stalls.inc();
                 }
                 break;
             }
             admission_q.pop_front();
-            let t = &mut tenants[head];
+            let t = &mut svc.tenants[head];
             t.admission_wait = now - t.spec.join_at;
             t.busy_until = now;
             t.state = TenantState::Working;
-            if let Some(o) = &fobs {
+            if let Some(o) = &svc.fobs {
                 o.admitted.inc();
                 o.obs.spans.point(
                     "fleet.join",
@@ -829,109 +654,74 @@ pub fn run_service(
                 );
             }
         }
-        if let Some(o) = &fobs {
-            let active = tenants
-                .iter()
-                .filter(|t| {
-                    matches!(
-                        t.state,
-                        TenantState::Working
-                            | TenantState::Cutting
-                            | TenantState::Recovering { .. }
-                    )
-                })
-                .count();
-            o.active.set(active as f64);
+        if let Some(o) = &svc.fobs {
+            o.active.set(svc.active() as f64);
             o.waiting.set(admission_q.len() as f64);
         }
 
-        // 6. Work accrual and cut decisions, tenant order. Real encodes
-        // run through the shared pool (drain-before-submit keeps the
-        // bounded pipeline deadlock-free); virtual encode time is
+        // 6. Work accrual and cut decisions, tenant order. Real delta
+        // encodes run through the shared pool (drain-before-submit keeps
+        // the bounded pipeline deadlock-free); virtual encode time is
         // DRR-scheduled below.
         let mut cutters: Vec<usize> = Vec::new();
-        for (id, t) in tenants.iter_mut().enumerate() {
+        for (id, t) in svc.tenants.iter_mut().enumerate() {
             if !matches!(t.state, TenantState::Working) || t.busy_until > now {
                 continue;
             }
             t.work_done += cfg.tick;
-            if t.work_done + 1e-9 >= t.w {
+            if t.work_done + 1e-9 >= t.core.w {
                 cutters.push(id);
             }
         }
-        let mut pool_jobs: Vec<usize> = Vec::new();
-        let mut pool_results = Vec::new();
+        let mut results = Vec::new();
+        let mut submitted = 0;
         for &id in &cutters {
-            let t = &mut tenants[id];
-            let round = t.round + 1;
-            let is_full = !t.has_anchor || t.cuts_since_full + 1 >= cfg.full_every;
-            t.state = TenantState::Cutting;
-            if is_full {
-                let snap = fleet.snapshot(t.spec.persona, round);
-                let raw = snap.bytes();
-                let c1 = cfg.cost_model.raw_io_latency(raw);
-                t.queue.push_back(EncodeJob {
-                    started: now,
-                    ready: now + c1,
-                    round,
-                    is_full: true,
-                    c1,
-                    delta_bytes: raw,
-                    dl_intrinsic: 0.0,
-                    shards: VecDeque::new(),
-                    end: now + c1,
-                    file: None,
-                    live_pages: Vec::new(),
-                });
-            } else {
-                let prev = fleet.snapshot(t.spec.persona, round - 1);
-                let dirty = fleet.dirty(t.spec.persona, round);
-                while let Some(r) = pool.try_recv() {
-                    pool_results.push(r);
-                }
-                pool.submit(CompressJob {
-                    seq: round,
-                    prev,
-                    dirty,
-                    params: cfg.pa,
-                });
-                pool_jobs.push(id);
+            let t = &svc.tenants[id].core;
+            if t.next_is_full(cfg.full_every) {
+                continue;
             }
+            let (prev, dirty) = t.delta_inputs(fleet);
+            while let Some(r) = pool.try_recv() {
+                results.push(r);
+            }
+            pool.submit(CompressJob {
+                seq: t.round + 1,
+                prev,
+                dirty,
+                params: cfg.pa,
+            });
+            submitted += 1;
         }
-        while pool_results.len() < pool_jobs.len() {
-            pool_results.push(pool.recv());
+        while results.len() < submitted {
+            results.push(pool.recv());
         }
-        for (&id, res) in pool_jobs.iter().zip(pool_results) {
-            let t = &mut tenants[id];
-            let round = t.round + 1;
-            let raw = fleet.pages_of(t.spec.persona) as u64 * aic_memsim::PAGE_SIZE as u64;
-            let c1 = cfg.cost_model.raw_io_latency(raw);
-            let dl_single = cfg.cost_model.delta_latency(&res.report);
-            let dl_intrinsic = cfg.cost_model.pooled_delta_latency(&res.report, cfg.cores);
-            let n_pages = fleet.pages_of(t.spec.persona);
-            let plan = plan_shards(n_pages, cfg.cores);
-            let shards: VecDeque<(u64, f64)> = plan
-                .iter()
-                .map(|s| {
-                    let pages = (s.end - s.start) as u64;
-                    let bytes = pages * aic_memsim::PAGE_SIZE as u64;
-                    let secs = dl_single * pages as f64 / n_pages as f64;
-                    (bytes, secs)
-                })
-                .collect();
-            let live_pages: Vec<PageIdx> = (0..n_pages as u64).collect();
+        let mut results = results.into_iter();
+        for &id in &cutters {
+            let t = &mut svc.tenants[id];
+            let c1 = local_write_latency(fleet, cfg, t.core.persona);
+            let (shards, delta) = if t.core.next_is_full(cfg.full_every) {
+                (VecDeque::new(), None)
+            } else {
+                let r = results.next().expect("one pool result per delta cut");
+                let dl_single = cfg.cost_model.delta_latency(&r.report);
+                let n_pages = fleet.pages_of(t.core.persona);
+                let shards = plan_shards(n_pages, cfg.cores)
+                    .iter()
+                    .map(|s| {
+                        let pages = (s.end - s.start) as u64;
+                        let secs = dl_single * pages as f64 / n_pages as f64;
+                        (pages * aic_memsim::PAGE_SIZE as u64, secs)
+                    })
+                    .collect();
+                (shards, Some((r.file, r.report)))
+            };
+            t.state = TenantState::Cutting;
             t.queue.push_back(EncodeJob {
                 started: now,
                 ready: now + c1,
-                round,
-                is_full: false,
-                c1,
-                delta_bytes: res.report.delta_bytes,
-                dl_intrinsic,
                 shards,
                 end: now + c1,
-                file: Some(res.file),
-                live_pages,
+                delta,
             });
         }
 
@@ -940,19 +730,20 @@ pub fn run_service(
         // the earliest-free virtual core. A drained queue forfeits its
         // deficit (classic DRR), so an idle tenant cannot bank credit.
         let quantum = cfg.quantum_bytes.max(1);
-        let mut active_ids: Vec<usize> = tenants
+        let mut active_ids: Vec<usize> = svc
+            .tenants
             .iter()
             .enumerate()
             .filter(|(_, t)| !t.queue.is_empty())
             .map(|(i, _)| i)
             .collect();
         while !active_ids.is_empty() {
-            if let Some(o) = &fobs {
+            if let Some(o) = &svc.fobs {
                 o.drr_rounds.inc();
             }
             let mut next_round = Vec::new();
             for &id in &active_ids {
-                let t = &mut tenants[id];
+                let t = &mut svc.tenants[id];
                 t.deficit = t.deficit.saturating_add(quantum);
                 loop {
                     let Some(job) = t.queue.front_mut() else {
@@ -964,7 +755,7 @@ pub fn run_service(
                         // matures at its ready time.
                         let mut done = t.queue.pop_front().expect("non-empty queue");
                         done.end = done.end.max(done.ready);
-                        matured.push(MaturedJob {
+                        svc.matured.push(MaturedJob {
                             at: done.end,
                             tenant: id,
                             job: done,
@@ -986,12 +777,12 @@ pub fn run_service(
                     cores[core] = end;
                     job.end = job.end.max(end);
                     job.shards.pop_front();
-                    if let Some(o) = &fobs {
+                    if let Some(o) = &svc.fobs {
                         o.shards.inc();
                     }
                     if job.shards.is_empty() {
                         let done = t.queue.pop_front().expect("non-empty queue");
-                        matured.push(MaturedJob {
+                        svc.matured.push(MaturedJob {
                             at: done.end,
                             tenant: id,
                             job: done,
@@ -1005,7 +796,8 @@ pub fn run_service(
             active_ids = next_round;
         }
 
-        if tenants
+        if svc
+            .tenants
             .iter()
             .all(|t| matches!(t.state, TenantState::Departed))
         {
@@ -1017,30 +809,19 @@ pub fn run_service(
 
     // Late drains of the final commits (everything else was cancelled at
     // departure) settle the clock.
-    let (events, idle_at) = transport.quiesce();
-    apply_events(
-        &events,
-        &mut hier,
-        &mut tenants,
-        &seq_owner,
-        &fobs,
-        &mut total_wire,
-        &mut gave_up,
-        &mut horizon,
-    )?;
-    horizon = horizon.max(idle_at.min(now)).max(now);
-    hier.try_reclaim_all();
+    let (events, idle_at) = svc.core.quiesce()?;
+    svc.account(&events);
+    let horizon = svc.horizon.max(idle_at.min(now)).max(now);
+    svc.core.hier.try_reclaim_all();
     // Every tenant departed and was retired, so a live byte on any level
     // is a leak — a departed tenant's records were not fully reclaimed.
-    for stats in hier.log_stats() {
+    for stats in svc.core.hier.log_stats() {
         if stats.live_bytes != 0 || stats.live_records != 0 {
-            violations += 1;
-            if let Some(o) = &fobs {
-                o.violations.inc();
-            }
+            svc.core.note_violation();
         }
     }
 
+    let tenants = &svc.tenants;
     let all_block: Vec<f64> = tenants.iter().flat_map(|t| t.blockings.clone()).collect();
     let mean_block = if all_block.is_empty() {
         0.0
@@ -1052,8 +833,8 @@ pub fn run_service(
         .enumerate()
         .map(|(id, t)| TenantReport {
             id,
-            cuts: t.cuts,
-            final_w: t.w,
+            cuts: t.core.commits,
+            final_w: t.core.w,
             w_trajectory: t.w_trajectory.clone(),
             max_block: t.blockings.iter().copied().fold(0.0, f64::max),
             p99_block: percentile(&t.blockings, 0.99),
@@ -1065,228 +846,21 @@ pub fn run_service(
         .collect();
     Ok(ServiceReport {
         tenants: tenants.len(),
-        cuts: total_cuts,
+        cuts: svc.total_cuts,
         makespan: horizon,
         throughput_cps: if horizon > 0.0 {
-            total_cuts as f64 / horizon
+            svc.total_cuts as f64 / horizon
         } else {
             0.0
         },
-        wire_bytes: total_wire,
+        wire_bytes: svc.total_wire,
         p99_block: percentile(&all_block, 0.99),
         mean_block,
         max_admission_wait: tenants.iter().map(|t| t.admission_wait).fold(0.0, f64::max),
-        isolation_violations: violations,
-        gave_up,
+        isolation_violations: svc.core.violations(),
+        gave_up: svc.gave_up,
         per_tenant,
     })
-}
-
-/// Crash tenant `id` at failure level `level`, recover it from the
-/// cheapest surviving level, open its pinned read window, and verify the
-/// recovered image bit-identical against the persona's pure function.
-#[allow(clippy::too_many_arguments)]
-fn crash_and_recover(
-    id: usize,
-    level: usize,
-    now: f64,
-    fleet: &SharedDatasetFleet,
-    cfg: &ServiceConfig,
-    tenants: &mut [Tenant],
-    hier: &mut StorageHierarchy,
-    transport: &mut NetworkTransport,
-    matured: &mut Vec<MaturedJob>,
-    fobs: &Option<FleetObs>,
-    violations: &mut u64,
-) -> Result<(), RecoveryError> {
-    // The crash kills any in-flight cut: queued shards and matured-but-
-    // uncommitted jobs die with the node.
-    tenants[id].queue.clear();
-    tenants[id].deficit = 0;
-    matured.retain(|m| m.tenant != id);
-    let job = tenants[id].job;
-    let lost = hier.fail_job(job, level)?;
-    transport.cancel_seqs(&lost);
-    if let Some(o) = fobs {
-        o.obs.spans.point(
-            "fleet.crash",
-            now,
-            vec![
-                ("tenant", (id as u64).into()),
-                ("level", (level as u64).into()),
-            ],
-        );
-    }
-
-    // Cheapest surviving level ≥ the failure level.
-    let mut recovered = None;
-    for lvl in level..=3 {
-        match hier.recover_job(lvl, job) {
-            Ok(img) => {
-                recovered = Some((lvl, img));
-                break;
-            }
-            Err(_) => continue,
-        }
-    }
-    let t = &mut tenants[id];
-    t.recoveries += 1;
-    if let Some(o) = fobs {
-        o.recoveries.inc();
-    }
-    match recovered {
-        Some((lvl, img)) => {
-            let round = round_of_state(&img.cpu_state).unwrap_or(u64::MAX);
-            let expect = if round == u64::MAX {
-                None
-            } else {
-                Some(fleet.snapshot(t.spec.persona, round))
-            };
-            let identical = expect
-                .as_ref()
-                .is_some_and(|e| snapshots_identical(e, &img.snapshot));
-            if !identical {
-                *violations += 1;
-                if let Some(o) = fobs {
-                    o.violations.inc();
-                }
-            }
-            // Open the pinned read window: capture the served chain's
-            // record locations; they must stay readable for the whole
-            // window even as other tenants' anchors compact the logs.
-            let pins = hier.pin_readers();
-            let locs: Vec<(u64, RecordLoc)> = hier
-                .live_record_seqs(lvl)
-                .into_iter()
-                .filter(|s| t.seqs.contains(s))
-                .filter_map(|s| hier.loc_of(lvl, s).map(|l| (s, l)))
-                .collect();
-            if let Some(o) = fobs {
-                o.pin_windows.inc();
-                o.obs.spans.point(
-                    "fleet.recover",
-                    now,
-                    vec![
-                        ("tenant", (id as u64).into()),
-                        ("level", (lvl as u64).into()),
-                        ("round", round.into()),
-                        ("identical", identical.into()),
-                    ],
-                );
-            }
-            debug_assert_eq!(img.level, level_of(lvl));
-            t.state = TenantState::Recovering {
-                until: now + img.read_seconds.max(cfg.tick),
-                pins,
-                level: lvl,
-                locs,
-                resume_round: round,
-            };
-        }
-        None => {
-            // Nothing recoverable anywhere (crashed before the first
-            // anchor acked): restart from scratch.
-            t.round = 0;
-            t.has_anchor = false;
-            t.cuts_since_full = 0;
-            t.work_done = 0.0;
-            t.busy_until = now;
-            t.state = TenantState::Working;
-            if let Some(o) = fobs {
-                o.obs.spans.point(
-                    "fleet.recover",
-                    now,
-                    vec![
-                        ("tenant", (id as u64).into()),
-                        ("from_scratch", true.into()),
-                    ],
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
-fn level_of(level: usize) -> RecoveryLevel {
-    match level {
-        1 => RecoveryLevel::Local,
-        2 => RecoveryLevel::Raid,
-        _ => RecoveryLevel::Remote,
-    }
-}
-
-/// Depart tenant `id`: verify its recovery one last time, retire every
-/// record it holds, cancel its in-flight drains, and check that nothing it
-/// owned stays live on any level.
-#[allow(clippy::too_many_arguments)]
-fn depart(
-    id: usize,
-    fleet: &SharedDatasetFleet,
-    cfg: &ServiceConfig,
-    tenants: &mut [Tenant],
-    hier: &mut StorageHierarchy,
-    transport: &mut NetworkTransport,
-    fobs: &Option<FleetObs>,
-    violations: &mut u64,
-) {
-    let job = tenants[id].job;
-    if cfg.verify {
-        let mut verified = None;
-        for lvl in 1..=3 {
-            if let Ok(img) = hier.recover_job(lvl, job) {
-                let round = round_of_state(&img.cpu_state).unwrap_or(u64::MAX);
-                let ok = round != u64::MAX
-                    && snapshots_identical(
-                        &fleet.snapshot(tenants[id].spec.persona, round),
-                        &img.snapshot,
-                    );
-                verified = Some(ok);
-                break;
-            }
-        }
-        tenants[id].verified = verified;
-        if verified == Some(false) {
-            *violations += 1;
-            if let Some(o) = fobs {
-                o.violations.inc();
-            }
-        }
-    }
-    let (_, lost) = hier.remove_job(job);
-    // Cancel everything of this tenant still on the wire: the dropped
-    // pendings plus any transfer whose ack nobody will consume.
-    let mine: Vec<u64> = transport
-        .pending_seqs()
-        .into_iter()
-        .filter(|s| tenants[id].seqs.contains(s) || lost.contains(s))
-        .collect();
-    transport.cancel_seqs(&mine);
-    // Departed tenants must leak nothing: no live record of theirs may
-    // survive on any level.
-    for lvl in 1..=3 {
-        if hier
-            .live_record_seqs(lvl)
-            .iter()
-            .any(|s| tenants[id].seqs.contains(s))
-        {
-            *violations += 1;
-            if let Some(o) = fobs {
-                o.violations.inc();
-            }
-        }
-    }
-    tenants[id].state = TenantState::Departed;
-    if let Some(o) = fobs {
-        o.departures.inc();
-        o.obs.spans.point(
-            "fleet.leave",
-            tenants[id].busy_until,
-            vec![
-                ("tenant", (id as u64).into()),
-                ("cuts", tenants[id].cuts.into()),
-            ],
-        );
-    }
 }
 
 #[cfg(test)]

@@ -1,19 +1,24 @@
 //! The wall-clock fleet server: real threads, real contention, same records.
 //!
-//! [`FleetServer`] runs the multi-tenant checkpoint service of
-//! [`crate::service`] in *wall-clock* mode: tenant sessions live on OS
-//! threads, encode work is scheduled preemptively across a shared worker
-//! pool at **shard granularity** (the deficit-round-robin encoder below),
-//! admission and transport
-//! back-pressure **block real callers** instead of stalling a virtual
-//! queue, and time comes from a [`MonotonicClock`] instead of the
-//! simulator's [`crate::clock::VirtualClock`].
+//! [`FleetServer`] runs the multi-tenant checkpoint service in *wall-clock*
+//! mode. Each [`TenantSession`] is a driver of the same fleet core —
+//! the one tenant commit/crash/recover/leave state machine that
+//! [`crate::service::run_service`] and [`crate::script::run_script_sim`]
+//! run (DESIGN.md §9) — over the same storage hierarchy, write-behind
+//! transport, checkpoint logs, dedup store and adaptive solver. Only what
+//! really differs lives here:
 //!
-//! The storage hierarchy, write-behind transport, checkpoint logs, dedup
-//! store, and adaptive solver are the *same objects* the simulator drives —
-//! only who advances time and who schedules work differs. That is what
-//! makes the oracle contract (DESIGN.md §10) checkable: replaying one
-//! tenant script through [`run_script_wallclock`] and through
+//! * time comes from a [`MonotonicClock`]; tenant sessions live on OS
+//!   threads, behind a FIFO admission gate that **blocks real callers**;
+//! * encode work is scheduled preemptively across a shared worker pool at
+//!   **shard granularity** (the deficit-round-robin encoder below);
+//! * transport back-pressure blocks the cutting caller, and a level-3
+//!   crash polls until the tenant's own L3 drains are acknowledged;
+//! * a recovery window stays open until the session's `recover` call;
+//! * the output is the session's record stream plus `fleet.wc.*` metrics.
+//!
+//! That is what makes the oracle contract (DESIGN.md §10) checkable:
+//! replaying one tenant script through [`run_script_wallclock`] and through
 //! [`crate::script::run_script_sim`] must yield identical
 //! [`FleetStreams`], even though every timing and interleaving differs.
 //!
@@ -39,20 +44,11 @@ use aic_memsim::{Snapshot, PAGE_SIZE};
 use aic_obs::{Counter, Gauge, Histogram, Obs, Volatility};
 
 use crate::clock::{ClockSource, MonotonicClock};
-use crate::engine::EngineConfig;
 use crate::fleet::SharedDatasetFleet;
-use crate::format::CheckpointFile;
-use crate::log::RecordLoc;
-use crate::recovery::{RecoveryError, StorageHierarchy};
-use crate::script::{
-    apply_transport_events, encode_inputs, image_digest, FleetStreams, RecordStream, StreamEvent,
-    TenantCmd, TenantCore, TenantScript,
-};
-use crate::service::{
-    build_hierarchy, build_transport, round_of_state, snapshots_identical, solver_config,
-    ServiceConfig, TenantPolicy, BLOCK_US_BUCKETS,
-};
-use crate::transport::NetworkTransport;
+use crate::fleetcore::{build_cut, FleetCore, RecoveryWindow, TenantCore, BLOCK_US_BUCKETS};
+use crate::recovery::RecoveryError;
+use crate::script::{FleetStreams, RecordStream, Recorder, StreamEvent, TenantCmd, TenantScript};
+use crate::service::{ServiceConfig, TenantPolicy};
 
 /// How often blocked callers re-poll shared state (admission is
 /// condvar-driven and does not poll; this is for transport back-pressure
@@ -416,14 +412,13 @@ fn wc_metrics(obs: &Arc<Obs>) -> WcObs {
 // The server
 // ---------------------------------------------------------------------------
 
-/// State every session thread shares under one mutex: the storage
-/// hierarchy, the write-behind transport, and the global commit sequence.
-/// Commit + enqueue + GC happen in one critical section, so the per-tenant
-/// observables the oracle compares are race-free by construction.
+/// State every session thread shares under one mutex: the fleet core (the
+/// storage hierarchy, the write-behind transport, the global commit seq)
+/// and the server's counters. Commit + enqueue + GC happen in one critical
+/// section, so the per-tenant observables the oracle compares are
+/// race-free by construction.
 struct Shared {
-    hier: StorageHierarchy,
-    transport: NetworkTransport,
-    seq_next: u64,
+    core: FleetCore,
     next_session: usize,
     admitted: u64,
     active: u64,
@@ -431,7 +426,6 @@ struct Shared {
     wire_bytes: u64,
     recoveries: u64,
     departures: u64,
-    violations: u64,
 }
 
 /// Live snapshot of the server's counters — the `stats` RPC payload.
@@ -488,8 +482,8 @@ impl FleetStats {
     }
 }
 
-/// The wall-clock fleet service: the simulator's storage + transport +
-/// solver machinery behind a blocking, thread-safe session API.
+/// The wall-clock fleet service: the fleet core behind a blocking,
+/// thread-safe session API.
 ///
 /// Sessions ([`TenantSession`]) borrow the server, so the server outlives
 /// every session by construction; dropping the server joins the encode
@@ -497,7 +491,6 @@ impl FleetStats {
 pub struct FleetServer {
     fleet: SharedDatasetFleet,
     cfg: ServiceConfig,
-    solver_cfg: EngineConfig,
     clock: MonotonicClock,
     gate: AdmissionGate,
     encoder: DrrEncoder,
@@ -508,9 +501,9 @@ pub struct FleetServer {
 }
 
 impl FleetServer {
-    /// Start the server: build the hierarchy and transport from `cfg`
-    /// (exactly as the simulator does), spawn the DRR encode workers and
-    /// the transport drainer.
+    /// Start the server: build the fleet core from `cfg` (exactly as the
+    /// simulator does), spawn the DRR encode workers and the transport
+    /// drainer.
     ///
     /// # Panics
     ///
@@ -528,11 +521,8 @@ impl FleetServer {
         // into series the deterministic snapshot considers reproducible.
         let mut quiet = cfg.clone();
         quiet.obs = None;
-        let solver_cfg = solver_config(&quiet);
         let shared = Arc::new(Mutex::new(Shared {
-            hier: build_hierarchy(&quiet),
-            transport: build_transport(&quiet),
-            seq_next: 1,
+            core: FleetCore::new(&quiet, wc.as_ref().map(|o| o.violations.clone())),
             next_session: 0,
             admitted: 0,
             active: 0,
@@ -540,7 +530,6 @@ impl FleetServer {
             wire_bytes: 0,
             recoveries: 0,
             departures: 0,
-            violations: 0,
         }));
         let clock = MonotonicClock::new();
         let stop = Arc::new(AtomicBool::new(false));
@@ -552,14 +541,11 @@ impl FleetServer {
                 .name("aic-drainer".into())
                 .spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        {
-                            let mut sh = shared.lock().unwrap();
-                            let now = clock.now();
-                            let events = sh.transport.advance_to(now);
-                            let sh = &mut *sh;
-                            apply_transport_events(&events, &mut sh.hier)
-                                .expect("drainer applies acks");
-                        }
+                        let mut sh = shared.lock().unwrap();
+                        sh.core
+                            .land_acks(clock.now())
+                            .expect("drainer applies acks");
+                        drop(sh);
                         thread::sleep(DRAIN_TICK);
                     }
                 })
@@ -569,7 +555,6 @@ impl FleetServer {
         FleetServer {
             fleet,
             cfg,
-            solver_cfg,
             clock,
             gate: AdmissionGate::new(),
             encoder,
@@ -615,7 +600,8 @@ impl FleetServer {
         }
         TenantSession {
             server: self,
-            core: TenantCore::with_params(persona, policy, rounds, id),
+            core: TenantCore::new(persona, policy, rounds, id),
+            stream: Recorder::default(),
             state: SessState::Up,
             released: false,
         }
@@ -633,9 +619,9 @@ impl FleetServer {
             cuts: sh.cuts,
             recoveries: sh.recoveries,
             departures: sh.departures,
-            violations: sh.violations,
+            violations: sh.core.violations(),
             wire_bytes: sh.wire_bytes,
-            in_flight: sh.transport.in_flight() as u64,
+            in_flight: sh.core.transport.in_flight() as u64,
             shards,
             preemptions,
             drr_rounds,
@@ -644,14 +630,7 @@ impl FleetServer {
 
     /// Isolation violations observed so far (must be 0).
     pub fn violations(&self) -> u64 {
-        self.shared.lock().unwrap().violations
-    }
-
-    fn note_violation(&self, sh: &mut Shared) {
-        sh.violations += 1;
-        if let Some(o) = &self.wc {
-            o.violations.inc();
-        }
+        self.shared.lock().unwrap().core.violations()
     }
 }
 
@@ -665,25 +644,11 @@ impl Drop for FleetServer {
     }
 }
 
-/// What a crashed session is holding across the crash→recover RPC gap.
-struct DownInfo {
-    /// Pin epochs per level; `None` when nothing was recoverable and the
-    /// tenant restarts from scratch.
-    pins: Option<[u64; 3]>,
-    /// Level that served the recovery (0 = from scratch).
-    level: usize,
-    /// The served chain's record locations — must stay readable until
-    /// `recover` closes the window.
-    locs: Vec<(u64, RecordLoc)>,
-    /// Round the tenant resumes at.
-    resume_round: u64,
-    /// The `Recover` stream event, pushed when the window closes.
-    event: StreamEvent,
-}
-
 enum SessState {
     Up,
-    Down(DownInfo),
+    /// Crashed: the recovery window stays open (pins held) until
+    /// `recover`, which then records the `Recover` event.
+    Down(RecoveryWindow, StreamEvent),
     Left,
 }
 
@@ -694,6 +659,7 @@ enum SessState {
 pub struct TenantSession<'a> {
     server: &'a FleetServer,
     core: TenantCore,
+    stream: Recorder,
     state: SessState,
     released: bool,
 }
@@ -711,7 +677,7 @@ impl TenantSession<'_> {
 
     /// The session's record stream so far.
     pub fn events(&self) -> &[StreamEvent] {
-        &self.core.events
+        &self.stream.events
     }
 
     /// Cut one checkpoint: encode (preemptible, outside every lock), then
@@ -721,95 +687,41 @@ impl TenantSession<'_> {
     pub fn cut(&mut self) -> Result<&StreamEvent, RecoveryError> {
         assert!(matches!(self.state, SessState::Up), "cut on a down session");
         let srv = self.server;
-        let cfg = &srv.cfg;
-        let round = self.core.round + 1;
-        let full = self.core.next_is_full(cfg.full_every);
 
         // Phase 1 — encode, no locks held. Snapshots are pure functions of
         // (persona, round); the DRR pool's output is bit-identical to the
         // serial encoder's, so the payload is mode-invariant.
-        let (mut file, c1, dl, ds) = if full {
-            let snap = srv.fleet.snapshot(self.core.persona, round);
-            let raw = snap.bytes();
-            let c1 = cfg.cost_model.raw_io_latency(raw);
-            (
-                CheckpointFile::full(self.core.job, 0, snap, crate::script::state_of(round)),
-                c1,
-                0.0,
-                raw as f64,
-            )
-        } else {
-            let prev = srv.fleet.snapshot(self.core.persona, round - 1);
-            let dirty = srv.fleet.dirty(self.core.persona, round);
-            let (pa_file, report) = srv.encoder.encode(self.core.job, prev, dirty, cfg.pa);
-            let (c1, dl, ds) = encode_inputs(srv.fleet(), cfg, self.core.persona, round, &report);
-            (
-                CheckpointFile::delta(
-                    self.core.job,
-                    0,
-                    pa_file,
-                    crate::script::all_pages(srv.fleet.pages_of(self.core.persona)),
-                    crate::script::state_of(round),
-                ),
-                c1,
-                dl,
-                ds,
-            )
-        };
+        let cut = build_cut(&srv.fleet, &srv.cfg, &self.core, || {
+            let (prev, dirty) = self.core.delta_inputs(&srv.fleet);
+            srv.encoder.encode(self.core.job, prev, dirty, srv.cfg.pa)
+        });
 
         // Phase 2 — commit under back-pressure: wait for queue room, then
         // seq assignment, commit, anchor GC, enqueue, and stream capture
         // in one critical section.
         let t0 = srv.clock.now();
-        loop {
+        let (mut guard, now) = loop {
             let mut guard = srv.shared.lock().unwrap();
             let now = srv.clock.now();
-            let sh = &mut *guard;
-            let events = sh.transport.advance_to(now);
-            apply_transport_events(&events, &mut sh.hier)?;
-            if sh.transport.in_flight() >= cfg.queue_depth {
-                drop(guard);
-                thread::sleep(POLL);
-                continue;
+            guard.core.land_acks(now)?;
+            if guard.core.transport.in_flight() < srv.cfg.queue_depth {
+                break (guard, now);
             }
-            let seq = sh.seq_next;
-            sh.seq_next += 1;
-            file.seq = seq;
-            let (receipt, wire) = sh.hier.commit_write_behind(&file)?;
-            if full {
-                let stale: Vec<u64> = sh
-                    .transport
-                    .pending_seqs()
-                    .into_iter()
-                    .filter(|s| *s < seq && self.core.seqs.contains(s))
-                    .collect();
-                sh.transport.cancel_seqs(&stale);
-            }
-            let out = sh.transport.enqueue(seq, wire, now + receipt.raid.seconds);
-            apply_transport_events(&out.events, &mut sh.hier)?;
-            self.core.on_commit(
-                seq,
-                round,
-                full,
-                c1,
-                dl,
-                ds,
-                &file,
-                &sh.hier,
-                &srv.solver_cfg,
-                cfg,
-            );
-            sh.cuts += 1;
-            sh.wire_bytes += wire;
-            if let Some(o) = &srv.wc {
-                o.cuts.inc();
-                o.wire_bytes.add(wire);
-                o.block_us
-                    .observe(((srv.clock.now() - t0) * 1e6).round() as u64);
-            }
-            break;
+            drop(guard);
+            thread::sleep(POLL);
+        };
+        let sh = &mut *guard;
+        let c = sh.core.commit(&mut self.core, cut, now)?;
+        self.stream.commit(&self.core, &c, &sh.core.hier);
+        sh.cuts += 1;
+        sh.wire_bytes += c.wire;
+        if let Some(o) = &srv.wc {
+            o.cuts.inc();
+            o.wire_bytes.add(c.wire);
+            o.block_us
+                .observe(((srv.clock.now() - t0) * 1e6).round() as u64);
         }
-        Ok(self.core.events.last().expect("cut pushed a commit"))
+        Ok(self.stream.events.last().expect("cut recorded a commit"))
     }
 
     /// Crash at `level` (1..=3): fail the tenant's storage, recover from
@@ -829,34 +741,31 @@ impl TenantSession<'_> {
         );
         assert!((1..=3).contains(&level), "crash level must be 1..=3");
         let srv = self.server;
+        let mut guard = srv.shared.lock().unwrap();
         if level == 3 {
             // Drain barrier: loop until none of this tenant's seqs are
             // pending on the wire or awaiting ack in the hierarchy.
             loop {
-                let mut guard = srv.shared.lock().unwrap();
-                let now = srv.clock.now();
-                let sh = &mut *guard;
-                let events = sh.transport.advance_to(now);
-                apply_transport_events(&events, &mut sh.hier)?;
-                let mine_pending = sh
+                let core = &mut guard.core;
+                core.land_acks(srv.clock.now())?;
+                let mine_pending = core
                     .transport
                     .pending_seqs()
                     .iter()
-                    .chain(sh.hier.pending_remote_seqs().iter())
+                    .chain(core.hier.pending_remote_seqs().iter())
                     .any(|s| self.core.seqs.contains(s));
                 if !mine_pending {
                     break;
                 }
                 drop(guard);
                 thread::sleep(POLL);
+                guard = srv.shared.lock().unwrap();
             }
         }
-        let mut guard = srv.shared.lock().unwrap();
-        let sh = &mut *guard;
-        let lost = sh.hier.fail_job(self.core.job, level)?;
-        sh.transport.cancel_seqs(&lost);
-        self.core.events.push(StreamEvent::Crash { level });
-        sh.recoveries += 1;
+        let (window, img) = guard.core.crash(&srv.fleet, &mut self.core, level)?;
+        guard.recoveries += 1;
+        drop(guard);
+        self.stream.events.push(StreamEvent::Crash { level });
         if let Some(o) = &srv.wc {
             o.recoveries.inc();
             o.obs.spans.point_volatile(
@@ -868,57 +777,8 @@ impl TenantSession<'_> {
                 ],
             );
         }
-
-        let mut recovered = None;
-        for lvl in level..=3 {
-            if let Ok(img) = sh.hier.recover_job(lvl, self.core.job) {
-                recovered = Some((lvl, img));
-                break;
-            }
-        }
-        self.state = match recovered {
-            Some((lvl, img)) => {
-                let round = round_of_state(&img.cpu_state).unwrap_or(u64::MAX);
-                let identical = round != u64::MAX
-                    && snapshots_identical(
-                        &srv.fleet.snapshot(self.core.persona, round),
-                        &img.snapshot,
-                    );
-                if !identical {
-                    srv.note_violation(sh);
-                }
-                let pins = sh.hier.pin_readers();
-                let locs: Vec<(u64, RecordLoc)> = sh
-                    .hier
-                    .live_record_seqs(lvl)
-                    .into_iter()
-                    .filter(|s| self.core.seqs.contains(s))
-                    .filter_map(|s| sh.hier.loc_of(lvl, s).map(|l| (s, l)))
-                    .collect();
-                SessState::Down(DownInfo {
-                    pins: Some(pins),
-                    level: lvl,
-                    locs,
-                    resume_round: round,
-                    event: StreamEvent::Recover {
-                        level: lvl,
-                        round,
-                        image_digest: image_digest(&img),
-                    },
-                })
-            }
-            None => SessState::Down(DownInfo {
-                pins: None,
-                level: 0,
-                locs: Vec::new(),
-                resume_round: 0,
-                event: StreamEvent::Recover {
-                    level: 0,
-                    round: 0,
-                    image_digest: 0,
-                },
-            }),
-        };
+        let event = StreamEvent::recover(&window, img.as_ref());
+        self.state = SessState::Down(window, event);
         Ok(())
     }
 
@@ -928,37 +788,29 @@ impl TenantSession<'_> {
     ///
     /// [`crash`]: TenantSession::crash
     pub fn recover(&mut self) -> Result<&StreamEvent, RecoveryError> {
-        let SessState::Down(info) = std::mem::replace(&mut self.state, SessState::Up) else {
+        let SessState::Down(window, event) = std::mem::replace(&mut self.state, SessState::Up)
+        else {
             panic!("recover on a session that is not down");
         };
         let srv = self.server;
-        let mut guard = srv.shared.lock().unwrap();
-        let sh = &mut *guard;
-        for (_, loc) in &info.locs {
-            if sh.hier.read_at(info.level, *loc).is_none() {
-                srv.note_violation(sh);
-            }
-        }
-        if let Some(pins) = info.pins {
-            sh.hier.unpin_readers(pins);
-            self.core.round = info.resume_round;
-        } else {
-            self.core.round = 0;
-            self.core.has_anchor = false;
-            self.core.cuts_since_full = 0;
-        }
-        self.core.events.push(info.event);
+        let level = window.level;
+        srv.shared.lock().unwrap().core.close_window(window);
+        self.stream.events.push(event);
         if let Some(o) = &srv.wc {
             o.obs.spans.point_volatile(
                 "fleet.wc.recover",
                 srv.clock.now(),
                 vec![
                     ("tenant", (self.id() as u64).into()),
-                    ("level", (info.level as u64).into()),
+                    ("level", (level as u64).into()),
                 ],
             );
         }
-        Ok(self.core.events.last().expect("recover pushed an event"))
+        Ok(self
+            .stream
+            .events
+            .last()
+            .expect("recover recorded an event"))
     }
 
     /// Depart: verify recovery one last time, retire every record, cancel
@@ -969,56 +821,8 @@ impl TenantSession<'_> {
             matches!(self.state, SessState::Up),
             "leave on a down session (recover first)"
         );
+        self.release(true);
         let srv = self.server;
-        {
-            let mut guard = srv.shared.lock().unwrap();
-            let sh = &mut *guard;
-            let mut verified = None;
-            for lvl in 1..=3 {
-                if let Ok(img) = sh.hier.recover_job(lvl, self.core.job) {
-                    let round = round_of_state(&img.cpu_state).unwrap_or(u64::MAX);
-                    verified = Some(
-                        round != u64::MAX
-                            && snapshots_identical(
-                                &srv.fleet.snapshot(self.core.persona, round),
-                                &img.snapshot,
-                            ),
-                    );
-                    break;
-                }
-            }
-            if verified == Some(false) {
-                srv.note_violation(sh);
-            }
-            let (_, lost) = sh.hier.remove_job(self.core.job);
-            let mine: Vec<u64> = sh
-                .transport
-                .pending_seqs()
-                .into_iter()
-                .filter(|s| self.core.seqs.contains(s) || lost.contains(s))
-                .collect();
-            sh.transport.cancel_seqs(&mine);
-            let leaked: u64 = (1..=3)
-                .map(|lvl| {
-                    sh.hier
-                        .live_record_seqs(lvl)
-                        .iter()
-                        .filter(|s| self.core.seqs.contains(s))
-                        .count() as u64
-                })
-                .sum();
-            if leaked != 0 {
-                srv.note_violation(sh);
-            }
-            self.core
-                .events
-                .push(StreamEvent::Leave { verified, leaked });
-            sh.departures += 1;
-            sh.active = sh.active.saturating_sub(1);
-            if let Some(o) = &srv.wc {
-                o.active.set(sh.active as f64);
-            }
-        }
         if let Some(o) = &srv.wc {
             o.departures.inc();
             o.obs.spans.point_volatile(
@@ -1027,10 +831,39 @@ impl TenantSession<'_> {
                 vec![("tenant", (self.id() as u64).into())],
             );
         }
+        std::mem::take(&mut self.stream.events)
+    }
+
+    /// Take the session out of the fleet and free its admission slot: a
+    /// leave goes through the core's leave step (verify, retire, leak
+    /// check); an abandoned session closes any window it holds and is
+    /// retired without the final verification.
+    fn release(&mut self, leave: bool) {
+        let srv = self.server;
+        {
+            let mut guard = srv.shared.lock().unwrap();
+            let sh = &mut *guard;
+            if let SessState::Down(window, _) = std::mem::replace(&mut self.state, SessState::Left)
+            {
+                sh.core.close_window(window);
+            }
+            if leave {
+                let d = sh.core.leave(&srv.fleet, &self.core);
+                self.stream.events.push(StreamEvent::Leave {
+                    verified: d.verified,
+                    leaked: d.leaked,
+                });
+                sh.departures += 1;
+            } else {
+                sh.core.retire(&self.core);
+            }
+            sh.active = sh.active.saturating_sub(1);
+            if let Some(o) = &srv.wc {
+                o.active.set(sh.active as f64);
+            }
+        }
         srv.gate.release();
         self.released = true;
-        self.state = SessState::Left;
-        std::mem::take(&mut self.core.events)
     }
 }
 
@@ -1040,33 +873,9 @@ impl Drop for TenantSession<'_> {
     /// state: release held pins, retire the tenant's records, cancel its
     /// drains, and free the admission slot.
     fn drop(&mut self) {
-        if self.released {
-            return;
+        if !self.released {
+            self.release(false);
         }
-        let srv = self.server;
-        {
-            let mut guard = srv.shared.lock().unwrap();
-            let sh = &mut *guard;
-            if let SessState::Down(info) = std::mem::replace(&mut self.state, SessState::Left) {
-                if let Some(pins) = info.pins {
-                    sh.hier.unpin_readers(pins);
-                }
-            }
-            let (_, lost) = sh.hier.remove_job(self.core.job);
-            let mine: Vec<u64> = sh
-                .transport
-                .pending_seqs()
-                .into_iter()
-                .filter(|s| self.core.seqs.contains(s) || lost.contains(s))
-                .collect();
-            sh.transport.cancel_seqs(&mine);
-            sh.active = sh.active.saturating_sub(1);
-            if let Some(o) = &srv.wc {
-                o.active.set(sh.active as f64);
-            }
-        }
-        srv.gate.release();
-        self.released = true;
     }
 }
 

@@ -9,10 +9,11 @@
 //! Section III.D asks how many processes can share it (the sharing factor).
 //! This example runs a small fleet of RMS processes (no inter-process
 //! communication), pushes every checkpoint's delta compression onto one
-//! dedicated [`CheckpointingCore`] thread, and reports per-process results
+//! dedicated one-worker [`CompressorPool`] (the paper's single checkpointing
+//! core), and reports per-process results
 //! plus the model's verdict on the sharing factor used.
 
-use aic::ckpt::concurrent::{CheckpointingCore, CompressJob};
+use aic::ckpt::concurrent::{CompressJob, CompressorPool};
 use aic::delta::pa::PaParams;
 use aic::memsim::workloads::spec::ALL_PERSONAS;
 use aic::memsim::SimTime;
@@ -34,7 +35,7 @@ fn main() {
     };
 
     // One dedicated checkpointing core for the whole fleet (SF = n).
-    let mut core = CheckpointingCore::spawn(8);
+    let core = CompressorPool::spawn(1, 8);
     let mut total_raw = 0u64;
     let mut jobs = 0u64;
 
