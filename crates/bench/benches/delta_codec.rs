@@ -8,6 +8,7 @@
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use aic_ckpt::concurrent::{CompressorPool, SOLO_QUANTUM};
 use aic_delta::encode::{encode_into, encode_with_report, EncodeParams};
 use aic_delta::pa::{full_encode, pa_encode, PaParams, SourceIndexCache};
 use aic_delta::reference::encode_with_report_reference;
@@ -126,11 +127,11 @@ fn bench_page_encode(c: &mut Criterion) {
 }
 
 fn bench_parallel_speedup(c: &mut Criterion) {
-    // Serial (the paper's single dedicated core) vs the sharded pool encode
-    // at each width — identical outputs by test (`pa_encode_shard` tests).
-    // All 256 pages are dirty, well past the 64-page floor where sharding
-    // pays; real speedup needs that many host cores, so compare widths on
-    // multicore hardware.
+    // Serial (the paper's single dedicated core) vs a `CompressorPool`
+    // encode at each width — identical outputs by test (the pool's
+    // bit-identity tests). All 256 pages are dirty, well past the 64-page
+    // floor where sharding pays; real speedup needs that many host cores,
+    // so compare widths on multicore hardware.
     let prev = snapshot(7);
     let target = dirty(&prev, "half-rewrite", 8);
     let mut group = c.benchmark_group("pool_scaling");
@@ -143,14 +144,8 @@ fn bench_parallel_speedup(c: &mut Criterion) {
             BenchmarkId::new("workers", workers),
             &workers,
             |b, &workers| {
-                b.iter(|| {
-                    aic_delta::pa::pa_encode_parallel_with(
-                        &prev,
-                        &target,
-                        &PaParams::default(),
-                        workers,
-                    )
-                });
+                let pool = CompressorPool::spawn(workers, SOLO_QUANTUM, None);
+                b.iter(|| pool.encode(0, prev.clone(), target.clone(), PaParams::default()));
             },
         );
     }

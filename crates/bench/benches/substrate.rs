@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use aic_ckpt::concurrent::{CompressJob, CompressorPool};
+use aic_ckpt::concurrent::{CompressorPool, SOLO_QUANTUM};
 use aic_ckpt::format::CheckpointFile;
 use aic_ckpt::storage::{BandwidthModel, Raid5Group, Store};
 use aic_delta::pa::PaParams;
@@ -97,25 +97,18 @@ fn bench_checkpoint_format(c: &mut Criterion) {
 }
 
 fn bench_checkpointing_core(c: &mut Criterion) {
-    // Round-trip latency of handing a compression job to the dedicated
-    // core thread and collecting the result.
+    // Round-trip latency of submitting a compression job to the dedicated
+    // core thread and waiting for the result.
     let prev = snapshot(64, 13);
     let dirty = snapshot(64, 14);
     c.bench_with_input(
         BenchmarkId::new("core_submit_recv", "64pages"),
         &(prev, dirty),
         |b, (prev, dirty)| {
-            let core = CompressorPool::spawn(1, 4);
-            let mut seq = 0;
+            let core = CompressorPool::spawn(1, SOLO_QUANTUM, None);
             b.iter(|| {
-                core.submit(CompressJob {
-                    seq,
-                    prev: prev.clone(),
-                    dirty: dirty.clone(),
-                    params: PaParams::default(),
-                });
-                seq += 1;
-                core.recv()
+                core.submit(0, prev.clone(), dirty.clone(), PaParams::default())
+                    .wait()
             });
         },
     );

@@ -11,20 +11,18 @@
 //! * **hot** — the optimized encoder served from a warmed
 //!   [`SourceIndexCache`] (every page is a pointer-equal cache hit).
 //!
-//! plus a pooled sweep (`pa_encode_parallel_cached`) over N ∈ {1,2,4,8}
-//! workers with a warm cache. Results are medians of wall-clock samples in
-//! ns/page; `repro bench` writes them to `BENCH_delta.json`.
+//! plus a sweep of the [`CompressorPool`]'s encode over N ∈ {1,2,4,8}
+//! workers with a warm pool cache. Results are medians of wall-clock
+//! samples in ns/page; `repro bench` writes them to `BENCH_delta.json`.
 //!
 //! [`SourceIndex`]: aic_delta::SourceIndex
 //! [`SourceIndexCache`]: aic_delta::SourceIndexCache
 
 use std::time::Instant;
 
+use aic_ckpt::concurrent::{CompressorPool, SOLO_QUANTUM};
 use aic_delta::encode::EncodeParams;
-use aic_delta::pa::{
-    effective_parallel_plan, pa_encode, pa_encode_cached, pa_encode_parallel_cached, PaParams,
-    SourceIndexCache,
-};
+use aic_delta::pa::{pa_encode, pa_encode_cached, plan_shards, PaParams, SourceIndexCache};
 use aic_delta::reference::encode_with_report_reference;
 use aic_memsim::{Page, Snapshot, PAGE_SIZE};
 use rand::rngs::StdRng;
@@ -63,19 +61,19 @@ impl RegimeRow {
 
 /// One pooled-encode measurement.
 ///
-/// Widths that resolve to the same *effective* plan (same thread count and
-/// shard count after clamping to the machine's parallelism — see
-/// [`effective_parallel_plan`]) are measured **once** and share the number:
-/// they run byte-for-byte the same code, so measuring them separately
-/// would only record scheduler noise as fake (anti-)scaling. On a machine
-/// with fewer cores than the widest width, that is exactly what the old
-/// sweep did.
+/// Widths that resolve to the same *effective* plan (same thread count
+/// after the pool clamps to the machine's parallelism, same shard count)
+/// are measured **once** and share the number: they run byte-for-byte the
+/// same code, so measuring them separately would only record scheduler
+/// noise as fake (anti-)scaling.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolPoint {
     /// Pool width as requested (the shard plan's key).
     pub workers: usize,
-    /// OS threads the encode actually used (clamped to the machine).
+    /// OS threads the pool actually spawned (clamped to the machine).
     pub threads: usize,
+    /// Shards the job is planned into at this width.
+    pub shards: usize,
     /// Median wall-clock ns per page for this width's effective plan
     /// (warm cache).
     pub ns_per_page: f64,
@@ -92,10 +90,11 @@ pub struct BenchReport {
     pub regimes: Vec<RegimeRow>,
     /// Pooled sweep (half-rewrite regime, warm cache).
     pub pool: Vec<PoolPoint>,
-    /// True when every swept width clamps to the same effective plan (a
-    /// single-core host, or a snapshot too small to shard): the pool
-    /// points all share one measurement, so the monotonicity gate passes
-    /// **vacuously** — it verified nothing about scaling.
+    /// True when every swept width encodes on the same number of threads
+    /// (a single-core host, or a snapshot too small to shard): the sweep
+    /// cannot show scaling, so [`BenchReport::check`] skips the pool gate
+    /// and the sweep passes **vacuously** — it verified nothing about
+    /// scaling.
     pub degenerate: bool,
 }
 
@@ -128,9 +127,10 @@ impl BenchReport {
         ));
         for (i, p) in self.pool.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"workers\": {}, \"threads\": {}, \"ns_per_page\": {:.1}}}{}\n",
+                "    {{\"workers\": {}, \"threads\": {}, \"shards\": {}, \"ns_per_page\": {:.1}}}{}\n",
                 p.workers,
                 p.threads,
+                p.shards,
                 p.ns_per_page,
                 if i + 1 < self.pool.len() { "," } else { "" }
             ));
@@ -143,8 +143,9 @@ impl BenchReport {
     ///
     /// * in every regime the cold path must beat the reference encoder —
     ///   the cold-encode regression this report exists to keep fixed;
-    /// * the pool sweep must be monotone non-increasing from the narrowest
-    ///   to the widest width, within a 5% noise allowance between adjacent
+    /// * unless the sweep is [`degenerate`](BenchReport::degenerate), the
+    ///   pool sweep must be monotone non-increasing from the narrowest to
+    ///   the widest width, within a 5% noise allowance between adjacent
     ///   points — and with **zero** allowance for the endpoints: the widest
     ///   width must never be slower than one worker (anti-scaling).
     ///
@@ -158,6 +159,9 @@ impl BenchReport {
                     r.regime, r.cold_ns_per_page, r.reference_ns_per_page
                 ));
             }
+        }
+        if self.degenerate {
+            return violations;
         }
         for pair in self.pool.windows(2) {
             if pair[1].ns_per_page > pair[0].ns_per_page * 1.05 {
@@ -184,8 +188,8 @@ impl BenchReport {
         let mut warnings = Vec::new();
         if self.degenerate {
             warnings.push(
-                "pool sweep is degenerate: every width clamps to the same effective \
-                 plan on this host, so the monotonicity gate passed vacuously"
+                "pool sweep is degenerate: every width encodes on the same number of \
+                 threads on this host, so the monotonicity gate passed vacuously"
                     .to_string(),
             );
         }
@@ -240,9 +244,9 @@ fn median(mut times: Vec<f64>) -> f64 {
     times[times.len() / 2]
 }
 
-/// Median of `samples` wall-clock timings of `op`, in nanoseconds.
-fn median_ns(samples: usize, mut op: impl FnMut()) -> f64 {
-    median((0..samples).map(|_| time_ns(&mut op)).collect())
+/// Threads that can encode one job's shards at once at this point.
+fn parallelism(p: &PoolPoint) -> usize {
+    p.threads.min(p.shards)
 }
 
 /// Run the full sweep.
@@ -297,42 +301,54 @@ pub fn run(scale: &RunScale) -> BenchReport {
         .collect();
 
     let target = dirty(&prev, "half-rewrite", scale.seed + 1);
-    let cache = SourceIndexCache::new();
-    pa_encode_cached(&prev, &target, &params, &cache);
     // Measure each *effective* plan once; widths that clamp to the same
-    // (threads, shards) share the measurement (see [`PoolPoint`]).
-    let mut measured: Vec<((usize, usize), f64)> = Vec::new();
-    let pool = DEFAULT_WORKERS
+    // (threads, shards) share the measurement (see [`PoolPoint`]). The
+    // plans take turns within each sample round, so a change in host load
+    // lands on every plan of that round instead of on one plan's series.
+    let mut pools: Vec<((usize, usize), CompressorPool)> = Vec::new();
+    let mut widths = Vec::with_capacity(DEFAULT_WORKERS.len());
+    for workers in DEFAULT_WORKERS {
+        let pool = CompressorPool::spawn(workers, SOLO_QUANTUM, None);
+        let plan = (pool.threads(), plan_shards(pages, workers).len());
+        if pools.iter().all(|(p, _)| *p != plan) {
+            pools.push((plan, pool));
+        }
+        widths.push((workers, plan));
+    }
+    let encode = |pool: &CompressorPool| pool.encode(0, prev.clone(), target.clone(), params);
+    for (_, pool) in &pools {
+        encode(pool); // warm-up: populate the pool's index cache
+    }
+    let mut times = vec![Vec::with_capacity(samples); pools.len()];
+    for _ in 0..samples {
+        for ((_, pool), t) in pools.iter().zip(&mut times) {
+            t.push(time_ns(&mut || {
+                std::hint::black_box(encode(pool));
+            }));
+        }
+    }
+    let measured: Vec<((usize, usize), f64)> = pools
         .iter()
-        .map(|&workers| {
-            let plan = effective_parallel_plan(pages, workers);
-            let ns = match measured.iter().find(|(p, _)| *p == plan) {
-                Some(&(_, ns)) => ns,
-                None => {
-                    let ns = median_ns(samples, || {
-                        std::hint::black_box(pa_encode_parallel_cached(
-                            &prev,
-                            &target,
-                            &params,
-                            workers,
-                            Some(&cache),
-                        ));
-                    }) / pages as f64;
-                    measured.push((plan, ns));
-                    ns
-                }
-            };
-            PoolPoint {
-                workers,
-                threads: plan.0,
-                ns_per_page: ns,
-            }
+        .zip(times)
+        .map(|((plan, _), t)| (*plan, median(t) / pages as f64))
+        .collect();
+    let pool: Vec<PoolPoint> = widths
+        .into_iter()
+        .map(|(workers, plan)| PoolPoint {
+            workers,
+            threads: plan.0,
+            shards: plan.1,
+            ns_per_page: measured
+                .iter()
+                .find(|(p, _)| *p == plan)
+                .expect("measured")
+                .1,
         })
         .collect();
 
-    // All widths collapsing to one effective plan means the monotonicity
-    // gate will compare a number against itself (see `BenchReport::check`).
-    let degenerate = measured.len() <= 1;
+    // Widths that all encode on one thread count cannot scale, so the
+    // monotonicity gate has nothing to verify (see `BenchReport::check`).
+    let degenerate = pool.iter().all(|p| parallelism(p) == parallelism(&pool[0]));
 
     BenchReport {
         pages,
@@ -375,7 +391,7 @@ pub fn render(report: &BenchReport) -> String {
     ));
     out.push_str("\npooled encode, half-rewrite, warm cache:\n\n");
     out.push_str(&markdown_table(
-        &["workers", "threads", "ns/page"],
+        &["workers", "threads", "shards", "ns/page"],
         &report
             .pool
             .iter()
@@ -383,6 +399,7 @@ pub fn render(report: &BenchReport) -> String {
                 vec![
                     p.workers.to_string(),
                     p.threads.to_string(),
+                    p.shards.to_string(),
                     f(p.ns_per_page),
                 ]
             })
@@ -418,19 +435,14 @@ mod tests {
         // Widths collapsing to the same effective plan must share their
         // measurement — identical code paths must report identical numbers.
         for (a, b) in report.pool.iter().zip(report.pool.iter().skip(1)) {
-            let pa = effective_parallel_plan(report.pages, a.workers);
-            let pb = effective_parallel_plan(report.pages, b.workers);
-            if pa == pb {
+            assert_eq!(b.shards, plan_shards(report.pages, b.workers).len());
+            if (a.threads, a.shards) == (b.threads, b.shards) {
                 assert_eq!(a.ns_per_page, b.ns_per_page, "{a:?} vs {b:?}");
             }
         }
-        // The flag must agree with the plan collapse it reports.
-        let plans: std::collections::HashSet<_> = report
-            .pool
-            .iter()
-            .map(|p| effective_parallel_plan(report.pages, p.workers))
-            .collect();
-        assert_eq!(report.degenerate, plans.len() <= 1, "{report:?}");
+        // The flag must agree with the thread counts it reports.
+        let parallel: std::collections::HashSet<_> = report.pool.iter().map(parallelism).collect();
+        assert_eq!(report.degenerate, parallel.len() <= 1, "{report:?}");
         let json = report.to_json();
         for key in [
             "\"bench\": \"delta_codec\"",
@@ -469,6 +481,7 @@ mod tests {
         let point = |workers, ns| PoolPoint {
             workers,
             threads: 1,
+            shards: 1,
             ns_per_page: ns,
         };
         let good = BenchReport {
@@ -481,10 +494,10 @@ mod tests {
         assert!(good.check().is_empty(), "{:?}", good.check());
         assert!(good.warnings().is_empty(), "{:?}", good.warnings());
 
-        // A degenerate sweep passes the gate but carries a warning: the
-        // monotonicity check compared one measurement against itself.
+        // A degenerate sweep passes the gate but carries a warning: one
+        // thread count cannot scale, so its pool numbers are not gated.
         let degenerate = BenchReport {
-            pool: vec![point(1, 10.0), point(2, 10.0), point(8, 10.0)],
+            pool: vec![point(1, 10.0), point(2, 12.0), point(8, 10.4)],
             degenerate: true,
             ..good.clone()
         };

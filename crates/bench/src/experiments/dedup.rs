@@ -57,9 +57,11 @@ pub struct DedupRow {
     pub wire_off: u64,
     /// Write-behind wire bytes, dedup on.
     pub wire_on: u64,
-    /// Encode wall-clock, dedup off (probe-free), nanoseconds.
+    /// Encode wall-clock, dedup off (probe-free), nanoseconds: each
+    /// commit's median run, summed.
     pub encode_ns_off: u64,
-    /// Encode wall-clock, dedup on (probe cost included), nanoseconds.
+    /// Encode wall-clock, dedup on (probe cost included), nanoseconds:
+    /// `encode_ns_off` plus each commit's median paired difference.
     pub encode_ns_on: u64,
     /// Dedup hits (spans that became references), L2+L3.
     pub hits: u64,
@@ -218,17 +220,48 @@ struct ModeOutcome {
     hier: StorageHierarchy,
 }
 
-/// Minimum wall-clock of three runs of `work` (the usual bench trick to
-/// shed scheduler noise), plus the last run's result.
-fn time_min3<T>(mut work: impl FnMut() -> T) -> (T, u64) {
-    let mut best = u64::MAX;
+/// Wall-clock nanoseconds of one run of `work`, plus its result.
+fn time_ns<T>(work: &mut impl FnMut() -> T) -> (T, u64) {
+    let started = Instant::now();
+    let out = work();
+    (out, started.elapsed().as_nanos() as u64)
+}
+
+/// Back-to-back pairs of timed runs per paired measurement.
+const PAIRED_RUNS: usize = 15;
+
+/// Time `off` and `on` back to back, [`PAIRED_RUNS`] pairs (`off` first
+/// when `off_first`). Returns `on`'s output with the two times `(on, off)`:
+/// `off`'s median run, and that plus the median per-pair difference
+/// `on - off`. Both runs of a pair see the same host load, so a spike or a
+/// lull cancels out of their difference; per-side minima do not pair up,
+/// and one lucky run on either side moves them.
+fn time_paired<T, U>(
+    off_first: bool,
+    mut off: impl FnMut() -> U,
+    mut on: impl FnMut() -> T,
+) -> (T, u64, u64) {
+    let mut off_ns = Vec::with_capacity(PAIRED_RUNS);
+    let mut diff_ns = Vec::with_capacity(PAIRED_RUNS);
     let mut out = None;
-    for _ in 0..3 {
-        let started = Instant::now();
-        out = Some(work());
-        best = best.min(started.elapsed().as_nanos() as u64);
+    for _ in 0..PAIRED_RUNS {
+        let mut off_run = 0;
+        if off_first {
+            off_run = time_ns(&mut off).1;
+        }
+        let (o, on_run) = time_ns(&mut on);
+        out = Some(o);
+        if !off_first {
+            off_run = time_ns(&mut off).1;
+        }
+        off_ns.push(off_run);
+        diff_ns.push(on_run as i64 - off_run as i64);
     }
-    (out.unwrap(), best)
+    off_ns.sort_unstable();
+    diff_ns.sort_unstable();
+    let off_median = off_ns[PAIRED_RUNS / 2];
+    let on_ns = off_median.saturating_add_signed(diff_ns[PAIRED_RUNS / 2]);
+    (out.expect("at least one pair"), on_ns, off_median)
 }
 
 /// Drive the fleet through the commit schedule against a fresh hierarchy.
@@ -281,15 +314,8 @@ fn run_mode(fleet: &SharedDatasetFleet, rounds: u64, dedup_on: bool) -> ModeOutc
                         (df, skip)
                     };
                     let baseline = || pa_encode(&prev[rank], &dirty, &params);
-                    let ((df, skip), on_ns, off_ns) = if seq.is_multiple_of(2) {
-                        let (_, off_ns) = time_min3(baseline);
-                        let (out, on_ns) = time_min3(probe_and_encode);
-                        (out, on_ns, off_ns)
-                    } else {
-                        let (out, on_ns) = time_min3(probe_and_encode);
-                        let (_, off_ns) = time_min3(baseline);
-                        (out, on_ns, off_ns)
-                    };
+                    let ((df, skip), on_ns, off_ns) =
+                        time_paired(seq.is_multiple_of(2), baseline, probe_and_encode);
                     encode_ns_on += on_ns;
                     encode_ns_off += off_ns;
                     let mut records = df.records;

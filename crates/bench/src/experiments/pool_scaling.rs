@@ -8,7 +8,8 @@
 //! split; see `CostModel::pooled_delta_latency`). This experiment sweeps
 //! the pool width and reports, per width:
 //!
-//! * the wall-clock time of one sharded PA encode (measured, this machine),
+//! * the wall-clock time of one encode through a `CompressorPool` of that
+//!   width, warm source-index cache (measured, this machine),
 //! * the engine-recorded mean delta latency `dl` (model, deployment units),
 //! * the SIC plan `w*` for that width from a single-core calibration
 //!   (`sic_optimal_w_pooled`), and the NET² of running that plan.
@@ -16,13 +17,14 @@
 //! Wider pools should shorten both `dl` and `w*` — cheaper checkpoints are
 //! worth taking more often — and NET² should not degrade. The wall-clock
 //! column only shows real speedup when the host has that many cores; the
-//! bit-identity of the sharded output is asserted by the codec's own tests.
+//! bit-identity of the pooled output is asserted by the pool's own tests.
 
 use std::time::Instant;
 
+use aic_ckpt::concurrent::{CompressorPool, SOLO_QUANTUM};
 use aic_ckpt::engine::run_engine;
 use aic_ckpt::policies::{calibration_means, sic_optimal_w_pooled, FixedIntervalPolicy};
-use aic_delta::pa::{pa_encode, pa_encode_parallel_with, PaParams};
+use aic_delta::pa::{pa_encode_cached, PaParams, SourceIndexCache};
 use aic_memsim::{Page, Snapshot, PAGE_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +37,7 @@ use crate::output::{f, markdown_table};
 pub struct PoolRow {
     /// Compression workers in the pool.
     pub cores: usize,
-    /// Wall-clock milliseconds for one sharded PA encode (min of 5).
+    /// Wall-clock milliseconds for one pooled PA encode (min of 5).
     pub encode_ms: f64,
     /// Wall-clock speedup over the serial encode on this host.
     pub speedup: f64,
@@ -93,18 +95,21 @@ pub fn run(cores: &[usize], scale: &RunScale) -> Vec<PoolRow> {
     );
     let means = calibration_means(&cal.intervals);
 
-    // --- Wall-clock shard-encode baseline.
+    // --- Wall-clock baseline: the serial encode. Both sides encode through
+    // a source-index cache, so the best of five runs is cache-warm on each.
     let (prev, target) = encode_pair(scale.seed);
     let params = PaParams::default();
+    let cache = SourceIndexCache::new();
     let serial_ms = min_wall_ms(|| {
-        pa_encode(&prev, &target, &params);
+        pa_encode_cached(&prev, &target, &params, &cache);
     });
 
     cores
         .iter()
         .map(|&n| {
+            let pool = CompressorPool::spawn(n, SOLO_QUANTUM, None);
             let encode_ms = min_wall_ms(|| {
-                pa_encode_parallel_with(&prev, &target, &params, n);
+                pool.encode(0, prev.clone(), target.clone(), params);
             });
             let w_star =
                 sic_optimal_w_pooled(means.c1, means.dl, means.ds, &cal_cfg, cal.base_time, n)

@@ -1,49 +1,59 @@
-//! Real dedicated checkpointing core(s): a pool of compression workers.
+//! Real dedicated checkpointing core(s): the workspace's one encode pool.
 //!
 //! The analytic models *assume* compression and remote transfer can run on
 //! spare cores without perturbing the application (Section II.C). This
 //! module implements that mechanism for real: a [`CompressorPool`] owns the
-//! delta compressors; the compute thread hands it `(previous pages, dirty
-//! pages)` jobs over a channel and keeps executing. This is the moral
-//! equivalent of the paper pinning Xdelta3-PA to a core with `taskset` —
-//! generalized from one spare core to `N`.
+//! delta compressors; a caller [`submit`](CompressorPool::submit)s
+//! `(previous pages, dirty pages)` jobs and keeps executing until it
+//! [`wait`](Pending::wait)s for the result. This is the moral equivalent of
+//! the paper pinning Xdelta3-PA to a core with `taskset` — generalized from
+//! one spare core to `N`, shared by many tenants.
 //!
 //! Because pages are independent delta units in `pa_encode`, each job is
 //! split page-wise into contiguous shards (see `plan_shards`), shards are
-//! compressed out of order across the workers, and the per-shard outputs
-//! are reassembled so the delivered [`PaDeltaFile`] is byte-for-byte what
-//! the serial encoder would have produced. Results are always delivered in
-//! job *submission* order, and every stage of the pipeline is bounded, so
-//! a pool that falls behind pushes back on `submit` — the paper's
-//! single-core drain rule, generalized. `CompressorPool::spawn(1, depth)`
-//! is the paper's single dedicated core: one worker plans exactly one
-//! shard per job.
+//! compressed out of order across the workers, and the last worker to
+//! finish a job reassembles it, so the delivered [`PaDeltaFile`] is
+//! byte-for-byte what the serial encoder would have produced.
+//!
+//! Every job is tagged with a tenant, and workers deal shards by **deficit
+//! round robin**: each tenant queue is credited `quantum_bytes` once per
+//! head arrival, and between any two shards a worker re-runs the pick, so
+//! a tenant whose head shard no longer fits its deficit is preempted and
+//! the next tenant is served. A drained queue forfeits its deficit. The
+//! fleet server, the simulated service and the engine (on more than one
+//! core) all encode here; `CompressorPool::spawn(1, ..)` is the paper's
+//! single dedicated core: one worker plans exactly one shard per job.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use aic_delta::pa::{
     pa_assemble, pa_encode_shard_scratch, plan_shards, PaDeltaFile, PaParams, PageRecord, Shard,
-    ShardScratch, SourceIndexCache, SHARDS_PER_WORKER,
+    ShardScratch, SourceIndexCache,
 };
 use aic_delta::stats::EncodeReport;
-use aic_memsim::Snapshot;
-use aic_obs::{Counter, CounterShard, Gauge, Histogram, HistogramShard, Obs, Volatility};
+use aic_memsim::{Snapshot, PAGE_SIZE};
+use aic_obs::{Counter, Gauge, Histogram, HistogramShard, Obs, Volatility};
 
 /// Shard encode latency buckets, nanoseconds (1 µs .. 100 ms).
 static SHARD_NS_BUCKETS: [u64; 6] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
+
+/// DRR quantum for a pool that serves one tenant: the credit never runs
+/// out, so shards are dealt back to back and nothing is ever preempted.
+pub const SOLO_QUANTUM: u64 = u64::MAX;
 
 /// The pool's registered metric handles.
 ///
 /// `pool.shard_encode_ns` is wall-clock derived and therefore registered
 /// [`Volatility::Volatile`] — it never appears in deterministic snapshots.
-/// The job/shard counters are exact and caller-ordered, so they stay stable.
-#[derive(Debug, Clone)]
+/// The job/shard counters are counted at submission, so they are exact and
+/// caller-ordered and stay stable.
+#[derive(Debug)]
 struct PoolObs {
     jobs: Counter,
     queue_depth: Gauge,
@@ -71,426 +81,296 @@ impl PoolObs {
     }
 }
 
-/// A compression job for the checkpointing core(s).
-#[derive(Debug)]
-pub struct CompressJob {
-    /// Checkpoint sequence number (echoed back in the result).
-    pub seq: u64,
-    /// Previous checkpoint's page contents (delta sources).
-    pub prev: Snapshot,
-    /// Dirty pages to compress.
-    pub dirty: Snapshot,
-    /// Compressor parameters.
-    pub params: PaParams,
-}
+/// An assembled job: the delta file plus its work report.
+type Encoded = (PaDeltaFile, EncodeReport);
 
-/// The pool's answer.
-#[derive(Debug)]
-pub struct CompressResult {
-    /// Sequence number of the job.
-    pub seq: u64,
-    /// The compressed page-aligned delta file.
-    pub file: PaDeltaFile,
-    /// Work accounting (feeds the latency cost model / predictor).
-    pub report: EncodeReport,
-    /// Wall-clock span from dispatch to the last shard finishing — the
-    /// *service* latency the `dl` predictor should see for this pool width.
-    pub wall: Duration,
-    /// Time the job spent queued behind earlier jobs before dispatch. Kept
-    /// separate from `wall` so a backed-up pool does not inflate the
-    /// predictor's view of compression cost.
-    pub queued: Duration,
-}
+/// One finished shard: its page records plus the per-shard report.
+type ShardPart = (Vec<PageRecord>, EncodeReport);
 
-/// One shard of one job, as handed to a pool worker.
-struct ShardTask {
-    job: Arc<CompressJob>,
-    state: Arc<JobState>,
-    slot: usize,
-    shard: Shard,
-}
-
-/// Shared reassembly state for one in-flight job.
-struct JobState {
-    /// Submission index — the delivery-order key (independent of `seq`,
-    /// which callers are free to assign arbitrarily).
-    order: u64,
-    dispatched_at: Instant,
-    queued: Duration,
-    /// One independently locked slot per shard: a worker finishing shard
-    /// `i` touches only slot `i`, so result write-back never contends
-    /// across workers (a single `Mutex<Vec<_>>` here serialized every
-    /// write-back of every worker behind one lock).
-    parts: Box<[Mutex<Option<ShardOutput>>]>,
+/// One submitted job. Each shard writes its own slot, and whichever worker
+/// finishes last assembles the parts in shard order and delivers them.
+struct Job {
+    prev: Snapshot,
+    dirty: Snapshot,
+    params: PaParams,
+    parts: Box<[Mutex<Option<ShardPart>>]>,
     remaining: AtomicUsize,
+    tx: Sender<Encoded>,
 }
 
-/// One shard's encoded records plus its partial report.
-type ShardOutput = (Vec<PageRecord>, EncodeReport);
-
-/// Tracks how many shards sit in the [`ShardQueues`] and whether the pool
-/// is shutting down.
-struct Gate {
-    queued: usize,
-    closed: bool,
+impl Job {
+    fn new(
+        prev: Snapshot,
+        dirty: Snapshot,
+        params: PaParams,
+        shards: usize,
+        tx: Sender<Encoded>,
+    ) -> Arc<Self> {
+        Arc::new(Job {
+            prev,
+            dirty,
+            params,
+            parts: (0..shards).map(|_| Mutex::new(None)).collect(),
+            remaining: AtomicUsize::new(shards),
+            tx,
+        })
+    }
 }
 
-/// Work-stealing shard scheduler: one double-ended queue per worker thread
-/// plus a shared gate carrying the total queued count, the capacity bound
-/// and the shutdown flag.
-///
-/// The dispatcher deals shards round-robin onto the per-worker queues; a
-/// worker pops from the *front* of its own queue and, when that is empty,
-/// steals from the *back* of a sibling's. A single shared channel — the
-/// old design — made every push and every pop contend on one lock and let
-/// an idle worker sit empty-handed while a straggler's queue backed up;
-/// here the common case (worker pops its own queue) touches a lock nobody
-/// else wants, and stragglers are automatically relieved by theft.
-///
-/// The gate bounds the total queued shards, so a dispatcher outrunning the
-/// workers blocks in [`ShardQueues::push`] — the pool's internal stage of
-/// the submit back-pressure chain.
-struct ShardQueues {
-    queues: Vec<Mutex<VecDeque<ShardTask>>>,
-    gate: Mutex<Gate>,
-    available: Condvar,
-    room: Condvar,
-    capacity: usize,
+/// A job's undealt shards, each tagged with its plan index.
+type ShardQueue = VecDeque<(usize, Shard)>;
+
+/// One tenant's pending encode work: jobs in submission order, each with
+/// its undealt shards.
+struct TenantQ {
+    deficit: u64,
+    credited: bool,
+    jobs: VecDeque<(Arc<Job>, ShardQueue)>,
 }
 
-impl ShardQueues {
-    fn new(threads: usize, capacity: usize) -> Self {
-        ShardQueues {
-            queues: (0..threads.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            gate: Mutex::new(Gate {
-                queued: 0,
-                closed: false,
-            }),
-            available: Condvar::new(),
-            room: Condvar::new(),
-            capacity: capacity.max(1),
+/// The deficit-round-robin scheduler, behind the pool's one lock.
+#[derive(Default)]
+struct Sched {
+    /// Round-robin order of tenants with pending shards; front is served.
+    rr: VecDeque<u64>,
+    queues: HashMap<u64, TenantQ>,
+    /// DRR credit rounds so far.
+    rounds: u64,
+    /// Tenants preempted at a shard boundary so far.
+    preemptions: u64,
+    shutdown: bool,
+}
+
+impl Sched {
+    /// Queue `job`'s shard plan behind `tenant`'s earlier jobs; a tenant
+    /// with nothing pending joins the back of the round-robin ring.
+    fn push(&mut self, tenant: u64, job: Arc<Job>, plan: Vec<Shard>) {
+        let q = self.queues.entry(tenant).or_insert_with(|| TenantQ {
+            deficit: 0,
+            credited: false,
+            jobs: VecDeque::new(),
+        });
+        let was_idle = q.jobs.is_empty();
+        q.jobs
+            .push_back((job, plan.into_iter().enumerate().collect()));
+        if was_idle {
+            self.rr.push_back(tenant);
         }
     }
 
-    /// Enqueue onto worker `home`'s queue; blocks while at capacity.
-    /// Returns `Err` if the pool shut down underneath the dispatcher.
-    fn push(&self, home: usize, task: ShardTask) -> Result<(), ()> {
-        let mut gate = self.gate.lock().unwrap();
-        while gate.queued >= self.capacity && !gate.closed {
-            gate = self.room.wait(gate).unwrap();
-        }
-        if gate.closed {
-            return Err(());
-        }
-        // Insert *before* the count increment (still under the gate), so a
-        // positive count always means the task is already findable.
-        self.queues[home % self.queues.len()]
-            .lock()
-            .unwrap()
-            .push_back(task);
-        gate.queued += 1;
-        drop(gate);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Dequeue for worker `who`: own queue front first, then steal from
-    /// siblings' backs. Blocks until a task is available; returns `None`
-    /// once the pool is closed *and* every queued shard has been taken.
-    fn pop(&self, who: usize) -> Option<ShardTask> {
-        {
-            let mut gate = self.gate.lock().unwrap();
-            loop {
-                if gate.queued > 0 {
-                    gate.queued -= 1;
-                    break;
-                }
-                if gate.closed {
-                    return None;
-                }
-                gate = self.available.wait(gate).unwrap();
-            }
-        }
-        self.room.notify_one();
-        // The decrement above entitles this worker to exactly one task,
-        // and pushes land before the count goes up — so a full scan can
-        // only come up empty if a racing sibling momentarily over-took;
-        // retry until our task materializes.
-        let n = self.queues.len();
+    /// The DRR pick, run between every two shards a worker encodes — the
+    /// preemption point. The front tenant is credited `quantum` once per
+    /// head arrival; if its head shard exceeds the remaining deficit it is
+    /// preempted (moved to the back, credit cleared). A drained queue
+    /// forfeits its deficit. `None` when no tenant has a pending shard.
+    fn pick(&mut self, quantum: u64) -> Option<(Arc<Job>, usize, Shard)> {
         loop {
-            if let Some(t) = self.queues[who % n].lock().unwrap().pop_front() {
-                return Some(t);
+            let tid = *self.rr.front()?;
+            let q = self.queues.get_mut(&tid).expect("queued tenant");
+            if !q.credited {
+                q.deficit = q.deficit.saturating_add(quantum);
+                q.credited = true;
+                self.rounds += 1;
             }
-            for k in 1..n {
-                if let Some(t) = self.queues[(who + k) % n].lock().unwrap().pop_back() {
-                    return Some(t);
+            let Some((job, shards)) = q.jobs.front_mut() else {
+                self.queues.remove(&tid);
+                self.rr.pop_front();
+                continue;
+            };
+            let &(slot, shard) = shards.front().expect("job with shards");
+            let bytes = shard.len() as u64 * PAGE_SIZE as u64;
+            if bytes > q.deficit {
+                self.preemptions += 1;
+                q.credited = false;
+                self.rr.rotate_left(1);
+                continue;
+            }
+            q.deficit -= bytes;
+            shards.pop_front();
+            let job = Arc::clone(job);
+            if shards.is_empty() {
+                q.jobs.pop_front();
+                if q.jobs.is_empty() {
+                    self.queues.remove(&tid);
+                    self.rr.pop_front();
                 }
             }
-            std::thread::yield_now();
+            return Some((job, slot, shard));
         }
-    }
-
-    /// Begin shutdown: queued shards still drain, new pushes fail, and
-    /// workers whose queues empty out exit instead of sleeping.
-    fn close(&self) {
-        self.gate.lock().unwrap().closed = true;
-        self.available.notify_all();
-        self.room.notify_all();
     }
 }
 
-/// An assembled job on its way to the in-order collector.
-struct Done {
-    order: u64,
-    result: CompressResult,
+/// What the pool's workers share.
+struct Shared {
+    sched: Mutex<Sched>,
+    work: Condvar,
+    quantum: u64,
+    /// Cross-job source-index cache shared by every worker. A hit is only
+    /// taken on exact source equality, so output stays bit-identical to
+    /// the serial encoder.
+    cache: Arc<SourceIndexCache>,
+    /// Shards encoded so far.
+    shards: AtomicU64,
+    /// `pool.shard_encode_ns`, when the pool has obs attached.
+    shard_ns: Option<Histogram>,
+}
+
+/// Lifetime scheduling counters of a [`CompressorPool`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Shards encoded.
+    pub shards: u64,
+    /// Tenants preempted at a shard boundary.
+    pub preemptions: u64,
+    /// DRR credit rounds.
+    pub rounds: u64,
 }
 
 /// Handle to a pool of dedicated compression workers.
 ///
-/// Jobs complete in submission order regardless of how their shards race.
-/// Dropping the handle shuts the pool down cleanly: pending jobs are
-/// finished first and every thread is joined, even if the caller never
-/// received a single result.
+/// Dropping the pool finishes every submitted job, then joins the workers.
 pub struct CompressorPool {
-    tx: Option<Sender<(CompressJob, Instant)>>,
-    rx: Receiver<CompressResult>,
-    handles: Vec<JoinHandle<()>>,
+    shared: Arc<Shared>,
     workers: usize,
-    submitted: AtomicU64,
-    received: AtomicU64,
-    /// Cross-interval per-page source-index cache, shared by every worker.
-    /// A cache hit skips the per-page indexing pass; a hit is only taken on
-    /// exact source equality, so pooled output stays bit-identical to the
-    /// serial encoder. The engine invalidates it on restore/recovery.
-    cache: Arc<SourceIndexCache>,
+    threads: Vec<JoinHandle<()>>,
+    /// Jobs submitted but not yet waited for (the `pool.queue_depth`).
+    in_flight: AtomicU64,
     obs: Option<PoolObs>,
 }
 
-impl CompressorPool {
-    /// Spawn `workers` compression threads behind a bounded queue of
-    /// `queue_depth` jobs.
-    ///
-    /// Every internal stage is bounded too, so when the pool falls behind
-    /// and nobody drains results, `submit` blocks after a fixed number of
-    /// in-flight jobs — back-pressure, not unbounded buffering. With
-    /// `workers == 1` each job is planned as a single shard and the pool
-    /// degenerates to the paper's single dedicated core.
-    pub fn spawn(workers: usize, queue_depth: usize) -> Self {
-        Self::spawn_with_obs(workers, queue_depth, None)
-    }
+/// A submitted job; [`Pending::wait`] blocks until it is assembled.
+#[must_use = "a job's result is only delivered through `wait`"]
+pub struct Pending<'a> {
+    pool: &'a CompressorPool,
+    rx: Receiver<Encoded>,
+}
 
-    /// [`CompressorPool::spawn`] with an observability bundle attached: the
-    /// pool reports job/shard counts, caller-visible queue depth, wall-clock
-    /// shard encode latency (volatile), and the shared source-index cache's
-    /// hit/miss totals. Workers batch their shard counts in a local
-    /// [`CounterShard`] and their latency samples in a [`HistogramShard`],
-    /// merged into the shared metrics when the worker exits — no extra
-    /// atomic traffic on the encode path.
+impl Pending<'_> {
+    /// Block until every shard of the job is encoded and assembled.
+    pub fn wait(self) -> (PaDeltaFile, EncodeReport) {
+        let out = self.rx.recv().expect("pool worker delivered the job");
+        self.pool.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.pool.refresh_gauges();
+        out
+    }
+}
+
+impl CompressorPool {
+    /// Spawn a pool planning `workers`-wide shards, crediting each tenant
+    /// `quantum_bytes` per DRR round.
     ///
-    /// The shard *plan* is always keyed by the requested `workers`, so the
-    /// delivered bytes and the deterministic obs counters (`pool.shards`)
-    /// are machine-independent; the number of OS threads actually spawned
-    /// is clamped to the machine's available parallelism — on a small host
-    /// the extra threads would only add context-switch and lock-handoff
-    /// overhead (the measured cause of the pool's former anti-scaling).
-    pub fn spawn_with_obs(workers: usize, queue_depth: usize, obs: Option<&Arc<Obs>>) -> Self {
-        let pool_obs = obs.map(PoolObs::new);
+    /// The shard *plan* is keyed by the requested `workers`, so the
+    /// delivered bytes and the `pool.shards` counter are machine-independent;
+    /// the number of OS threads is clamped to the machine's available
+    /// parallelism — on a small host extra threads would only add
+    /// context-switch and lock-handoff overhead.
+    ///
+    /// With `obs` attached the pool reports job/shard counts, the
+    /// caller-visible queue depth, wall-clock shard encode latency
+    /// (volatile, batched per worker in a [`HistogramShard`]) and the shared
+    /// source-index cache's hit/miss totals under `pool.*`.
+    pub fn spawn(workers: usize, quantum_bytes: u64, obs: Option<&Arc<Obs>>) -> Self {
+        let obs = obs.map(PoolObs::new);
         let workers = workers.max(1);
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = workers.min(hw);
-        let depth = queue_depth.max(1);
-        let (job_tx, job_rx) = bounded::<(CompressJob, Instant)>(depth);
-        let shard_queues = Arc::new(ShardQueues::new(threads, workers * SHARDS_PER_WORKER));
-        let (done_tx, done_rx) = bounded::<Done>(depth + workers);
-        let (res_tx, res_rx) = bounded::<CompressResult>(depth * 2);
-
-        let mut handles = Vec::with_capacity(threads + 2);
-        let cache = Arc::new(SourceIndexCache::new());
-
-        // Dispatcher: shards each job and deals the shards round-robin
-        // onto the workers' queues.
-        let dispatcher_done = done_tx.clone();
-        let dispatcher_queues = Arc::clone(&shard_queues);
-        handles.push(
-            std::thread::Builder::new()
-                .name("aic-ckpt-dispatch".into())
-                .spawn(move || {
-                    let mut order: u64 = 0;
-                    let mut home: usize = 0;
-                    'jobs: while let Ok((job, enqueued_at)) = job_rx.recv() {
-                        let dispatched_at = Instant::now();
-                        let queued = dispatched_at.duration_since(enqueued_at);
-                        let shards = plan_shards(job.dirty.len(), workers);
-                        if shards.is_empty() {
-                            // Empty snapshot: nothing to compress, assemble
-                            // the empty file right here.
-                            let (file, report) = pa_assemble(std::iter::empty());
-                            let sent = dispatcher_done.send(Done {
-                                order,
-                                result: CompressResult {
-                                    seq: job.seq,
-                                    file,
-                                    report,
-                                    wall: dispatched_at.elapsed(),
-                                    queued,
-                                },
-                            });
-                            if sent.is_err() {
-                                break 'jobs;
-                            }
-                        } else {
-                            let parts = (0..shards.len()).map(|_| Mutex::new(None)).collect();
-                            let state = Arc::new(JobState {
-                                order,
-                                dispatched_at,
-                                queued,
-                                parts,
-                                remaining: AtomicUsize::new(shards.len()),
-                            });
-                            let job = Arc::new(job);
-                            for (slot, shard) in shards.into_iter().enumerate() {
-                                let task = ShardTask {
-                                    job: Arc::clone(&job),
-                                    state: Arc::clone(&state),
-                                    slot,
-                                    shard,
-                                };
-                                if dispatcher_queues.push(home, task).is_err() {
-                                    break 'jobs;
-                                }
-                                home = home.wrapping_add(1);
-                            }
-                        }
-                        order += 1;
-                    }
-                    // Job feed is gone (handle dropped) or the pool is
-                    // already closing: let the workers drain and exit.
-                    dispatcher_queues.close();
-                })
-                .expect("spawn pool dispatcher"),
-        );
-
-        // Workers: compress shards; whoever finishes a job's last shard
-        // assembles the file and hands it to the collector.
-        for i in 0..threads {
-            let queues = Arc::clone(&shard_queues);
-            let done_tx = done_tx.clone();
-            let cache = Arc::clone(&cache);
-            let worker_obs = pool_obs.clone();
-            handles.push(
+        let shared = Arc::new(Shared {
+            sched: Mutex::new(Sched::default()),
+            work: Condvar::new(),
+            quantum: quantum_bytes.max(1),
+            cache: Arc::new(SourceIndexCache::new()),
+            shards: AtomicU64::new(0),
+            shard_ns: obs.as_ref().map(|o| o.shard_ns.clone()),
+        });
+        let threads = (0..workers.min(hw))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("aic-ckpt-core-{i}"))
-                    .spawn(move || {
-                        // Worker-local obs batches: one shared merge per
-                        // worker lifetime (both shards flush on drop),
-                        // zero shared-atomic traffic per shard. Scratch
-                        // buffers likewise live for the worker's lifetime.
-                        let mut local = CounterShard::new();
-                        let shard_slot = worker_obs.as_ref().map(|o| local.slot(o.shards.clone()));
-                        let mut ns_local = worker_obs
-                            .as_ref()
-                            .map(|o| HistogramShard::new(o.shard_ns.clone()));
-                        let mut scratch = ShardScratch::new();
-                        while let Some(task) = queues.pop(i) {
-                            let t0 = Instant::now();
-                            let part = pa_encode_shard_scratch(
-                                &task.job.prev,
-                                &task.job.dirty,
-                                task.shard,
-                                &task.job.params,
-                                Some(&cache),
-                                &mut scratch,
-                            );
-                            if let Some(slot) = shard_slot {
-                                local.inc(slot);
-                            }
-                            if let Some(h) = &mut ns_local {
-                                h.observe(t0.elapsed().as_nanos() as u64);
-                            }
-                            *task.state.parts[task.slot].lock().unwrap() = Some(part);
-                            if task.state.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-                                continue; // other shards still in flight
-                            }
-                            let parts =
-                                task.state.parts.iter().map(|slot| {
-                                    slot.lock().unwrap().take().expect("shard encoded")
-                                });
-                            let (file, report) = pa_assemble(parts);
-                            let sent = done_tx.send(Done {
-                                order: task.state.order,
-                                result: CompressResult {
-                                    seq: task.job.seq,
-                                    file,
-                                    report,
-                                    wall: task.state.dispatched_at.elapsed(),
-                                    queued: task.state.queued,
-                                },
-                            });
-                            if sent.is_err() {
-                                return;
-                            }
-                        }
-                    })
-                    .expect("spawn pool worker"),
-            );
-        }
-        drop(done_tx);
-
-        // Collector: re-sequences out-of-order job completions so results
-        // leave the pool in submission order.
-        handles.push(
-            std::thread::Builder::new()
-                .name("aic-ckpt-collect".into())
-                .spawn(move || {
-                    let mut next: u64 = 0;
-                    let mut pending: BTreeMap<u64, CompressResult> = BTreeMap::new();
-                    while let Ok(done) = done_rx.recv() {
-                        pending.insert(done.order, done.result);
-                        while let Some(result) = pending.remove(&next) {
-                            if res_tx.send(result).is_err() {
-                                return;
-                            }
-                            next += 1;
-                        }
-                    }
-                })
-                .expect("spawn pool collector"),
-        );
-
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn pool worker")
+            })
+            .collect();
         CompressorPool {
-            tx: Some(job_tx),
-            rx: res_rx,
-            handles,
+            shared,
             workers,
-            submitted: AtomicU64::new(0),
-            received: AtomicU64::new(0),
-            cache,
-            obs: pool_obs,
+            threads,
+            in_flight: AtomicU64::new(0),
+            obs,
         }
+    }
+
+    /// Queue one encode job for `tenant` and return at once; the result is
+    /// collected with [`Pending::wait`]. Fair across tenants at shard
+    /// granularity.
+    pub fn submit(
+        &self,
+        tenant: u64,
+        prev: Snapshot,
+        dirty: Snapshot,
+        params: PaParams,
+    ) -> Pending<'_> {
+        let plan = plan_shards(dirty.len(), self.workers);
+        let (tx, rx) = bounded(1);
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = &self.obs {
+            o.jobs.inc();
+            o.shards.add(plan.len() as u64);
+        }
+        self.refresh_gauges();
+        if plan.is_empty() {
+            // Empty snapshot: nothing to compress.
+            let _ = tx.send(pa_assemble(std::iter::empty()));
+        } else {
+            let job = Job::new(prev, dirty, params, plan.len(), tx);
+            let mut sched = self.shared.sched.lock().unwrap();
+            sched.push(tenant, job, plan);
+            self.shared.work.notify_all();
+        }
+        Pending { pool: self, rx }
+    }
+
+    /// [`submit`](CompressorPool::submit) and wait: encode one job for
+    /// `tenant`, blocking until the assembled file is ready.
+    pub fn encode(
+        &self,
+        tenant: u64,
+        prev: Snapshot,
+        dirty: Snapshot,
+        params: PaParams,
+    ) -> (PaDeltaFile, EncodeReport) {
+        self.submit(tenant, prev, dirty, params).wait()
     }
 
     /// Refresh the caller-facing gauges: current queue depth and the shared
-    /// cache's cumulative hit/miss totals. Called on every submit/receive,
-    /// i.e. from the single caller thread, so the gauge writes are ordered.
+    /// cache's cumulative hit/miss totals.
     fn refresh_gauges(&self) {
         if let Some(o) = &self.obs {
-            o.queue_depth.set(self.in_flight() as f64);
-            o.cache_hits.set(self.cache.hits() as f64);
-            o.cache_misses.set(self.cache.misses() as f64);
+            o.queue_depth
+                .set(self.in_flight.load(Ordering::Relaxed) as f64);
+            o.cache_hits.set(self.shared.cache.hits() as f64);
+            o.cache_misses.set(self.shared.cache.misses() as f64);
         }
     }
 
-    /// Number of compression workers in the pool.
-    pub fn workers(&self) -> usize {
-        self.workers
+    /// OS threads actually encoding (the plan width clamped to the host).
+    pub fn threads(&self) -> usize {
+        self.threads.len()
     }
 
-    /// The pool's shared cross-interval source-index cache (hit/miss
-    /// counters, footprint inspection).
+    /// Shards encoded, preemptions and DRR rounds so far.
+    pub fn stats(&self) -> PoolStats {
+        let sched = self.shared.sched.lock().unwrap();
+        PoolStats {
+            shards: self.shared.shards.load(Ordering::Relaxed),
+            preemptions: sched.preemptions,
+            rounds: sched.rounds,
+        }
+    }
+
+    /// The pool's shared cross-job source-index cache (hit/miss counters,
+    /// footprint inspection).
     pub fn index_cache(&self) -> &Arc<SourceIndexCache> {
-        &self.cache
+        &self.shared.cache
     }
 
     /// Drop every cached source index. **Must** be called whenever the
@@ -501,78 +381,62 @@ impl CompressorPool {
     /// defense in depth plus a memory release, not a correctness patch.
     ///
     /// Callers must not invalidate while jobs that should use the old
-    /// entries are in flight; the engine only calls this at a recovery
-    /// barrier where the pipeline has been cut.
+    /// entries are in flight; the engine only invalidates at a recovery
+    /// barrier, where it has no job outstanding.
     pub fn invalidate_cache(&self) {
-        self.cache.invalidate_all();
-    }
-
-    /// Submit a job; blocks if the queue is full.
-    pub fn submit(&self, job: CompressJob) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = &self.obs {
-            o.jobs.inc();
-        }
-        self.refresh_gauges();
-        self.tx
-            .as_ref()
-            .expect("pool is live")
-            .send((job, Instant::now()))
-            .expect("compressor pool died");
-    }
-
-    /// Number of jobs submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Jobs submitted but not yet received — the pool's current depth as
-    /// seen by the caller (queued + compressing + awaiting pickup).
-    pub fn in_flight(&self) -> u64 {
-        self.submitted() - self.received.load(Ordering::Relaxed)
-    }
-
-    /// Receive the next completed result, blocking.
-    pub fn recv(&self) -> CompressResult {
-        let r = self.rx.recv().expect("compressor pool died");
-        self.received.fetch_add(1, Ordering::Relaxed);
-        self.refresh_gauges();
-        r
-    }
-
-    /// Receive a completed result if one is ready.
-    pub fn try_recv(&self) -> Option<CompressResult> {
-        let r = self.rx.try_recv().ok()?;
-        self.received.fetch_add(1, Ordering::Relaxed);
-        self.refresh_gauges();
-        Some(r)
-    }
-
-    /// Shut down: wait for all pending jobs and collect their results
-    /// (those not already taken via `recv`).
-    pub fn drain(mut self) -> Vec<CompressResult> {
-        drop(self.tx.take());
-        let mut out = Vec::new();
-        while let Ok(r) = self.rx.recv() {
-            self.received.fetch_add(1, Ordering::Relaxed);
-            out.push(r);
-        }
-        self.refresh_gauges();
-        // Drop joins the (now finished) threads.
-        out
+        self.shared.cache.invalidate_all();
     }
 }
 
 impl Drop for CompressorPool {
     fn drop(&mut self) {
-        drop(self.tx.take());
-        // Keep draining results while the pipeline winds down: a bounded
-        // result channel full of unread results must never wedge a worker
-        // (and thereby the join below). Pending jobs still get compressed —
-        // the job channel is closed, not the pipeline.
-        while self.rx.recv().is_ok() {}
-        for h in self.handles.drain(..) {
+        self.shared.sched.lock().unwrap().shutdown = true;
+        self.shared.work.notify_all();
+        for h in self.threads.drain(..) {
             let _ = h.join();
+        }
+    }
+}
+
+/// A worker: pick a shard under the scheduler lock, encode it outside the
+/// lock, and assemble the job if this was its last shard. Exits once the
+/// pool is shutting down and no shard is left.
+fn worker_loop(shared: &Shared) {
+    let mut scratch = ShardScratch::new();
+    let mut shard_ns = shared.shard_ns.clone().map(HistogramShard::new);
+    loop {
+        let (job, slot, shard) = {
+            let mut sched = shared.sched.lock().unwrap();
+            loop {
+                if let Some(picked) = sched.pick(shared.quantum) {
+                    break picked;
+                }
+                if sched.shutdown {
+                    return;
+                }
+                sched = shared.work.wait(sched).unwrap();
+            }
+        };
+        let t0 = shard_ns.is_some().then(Instant::now);
+        let part = pa_encode_shard_scratch(
+            &job.prev,
+            &job.dirty,
+            shard,
+            &job.params,
+            Some(&shared.cache),
+            &mut scratch,
+        );
+        if let (Some(h), Some(t0)) = (&mut shard_ns, t0) {
+            h.observe(t0.elapsed().as_nanos() as u64);
+        }
+        shared.shards.fetch_add(1, Ordering::Relaxed);
+        *job.parts[slot].lock().unwrap() = Some(part);
+        if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let parts = job
+                .parts
+                .iter()
+                .map(|p| p.lock().unwrap().take().expect("shard encoded"));
+            let _ = job.tx.send(pa_assemble(parts));
         }
     }
 }
@@ -580,8 +444,9 @@ impl Drop for CompressorPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::SharedDatasetFleet;
     use aic_delta::pa::{pa_decode, pa_encode};
-    use aic_memsim::{Page, PAGE_SIZE};
+    use aic_memsim::Page;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -605,169 +470,168 @@ mod tests {
         }))
     }
 
-    #[test]
-    fn results_arrive_in_order_and_decode() {
-        let prev = snapshot(16, 1);
-        let core = CompressorPool::spawn(1, 4);
-        let mut dirties = Vec::new();
-        for seq in 0..5u64 {
-            let dirty = mutate(&prev, 100 + seq);
-            dirties.push(dirty.clone());
-            core.submit(CompressJob {
-                seq,
-                prev: prev.clone(),
-                dirty,
-                params: PaParams::default(),
-            });
-        }
-        let results = core.drain();
-        assert_eq!(results.len(), 5);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.seq, i as u64);
-            let restored = pa_decode(&prev, &r.file).unwrap();
-            assert_eq!(restored, dirties[i]);
-            assert!(r.report.delta_bytes > 0);
-        }
+    /// Every third page rewritten (the match-rate probe bails to raw), one
+    /// in three lightly edited, one in three untouched.
+    fn probe_bail_mix(prev: &Snapshot, seed: u64) -> Snapshot {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Snapshot::from_pages(prev.iter().map(|(i, p)| {
+            let mut b = p.as_slice().to_vec();
+            match i % 3 {
+                0 => rng.fill(&mut b[..]),
+                1 => rng.fill(&mut b[..256]),
+                _ => {}
+            }
+            (i, Page::from_bytes(&b))
+        }))
     }
 
     #[test]
-    fn compute_thread_overlaps_with_compression() {
-        // While the core compresses a sizeable job, the "compute" thread
-        // keeps making progress. We assert overlap structurally: the
-        // compute loop finishes its work before the blocking recv returns
-        // a late-submitted job batch.
-        let prev = snapshot(256, 2);
-        let core = CompressorPool::spawn(1, 2);
-        for seq in 0..3 {
-            core.submit(CompressJob {
-                seq,
-                prev: prev.clone(),
-                dirty: mutate(&prev, 7 + seq),
-                params: PaParams::default(),
-            });
-        }
-        // Compute work proceeds while the core chews.
-        let mut acc = 0u64;
-        for i in 0..2_000_000u64 {
-            acc = acc.wrapping_add(i.wrapping_mul(2654435761));
-        }
-        assert_ne!(acc, 0);
-        let results = core.drain();
-        assert_eq!(results.len(), 3);
-        assert!(results.iter().all(|r| r.wall > Duration::ZERO));
-    }
+    fn drr_pick_serves_the_light_tenant_and_forfeits_drained_deficit() {
+        // Driven without threads, like a worker would: a heavy tenant with
+        // 8 queued shards, a light one with 1, quantum = 2 shards.
+        const SHARD_PAGES: usize = 4;
+        let shard_bytes = (SHARD_PAGES * PAGE_SIZE) as u64;
+        let plan = |n: usize| -> Vec<Shard> {
+            (0..n)
+                .map(|i| Shard {
+                    start: i * SHARD_PAGES,
+                    end: (i + 1) * SHARD_PAGES,
+                })
+                .collect()
+        };
+        let job = |n: usize| {
+            let (tx, _) = bounded(1);
+            Job::new(Snapshot::new(), Snapshot::new(), PaParams::default(), n, tx)
+        };
+        let (heavy, light, light2) = (job(8), job(1), job(3));
+        let mut s = Sched::default();
+        s.push(1, Arc::clone(&heavy), plan(8));
+        s.push(2, Arc::clone(&light), plan(1));
+        let mut order = Vec::new();
+        let mut take = |s: &mut Sched, n: usize| {
+            for _ in 0..n {
+                let (j, slot, _) = s.pick(2 * shard_bytes).expect("a shard is pending");
+                let name = [(&heavy, "H"), (&light, "L"), (&light2, "M")]
+                    .into_iter()
+                    .find(|(k, _)| Arc::ptr_eq(k, &j))
+                    .map(|(_, name)| name)
+                    .unwrap();
+                order.push(format!("{name}{slot}"));
+            }
+        };
 
-    #[test]
-    fn drop_shuts_down_cleanly() {
-        let prev = snapshot(4, 3);
-        let core = CompressorPool::spawn(1, 1);
-        core.submit(CompressJob {
-            seq: 0,
-            prev: prev.clone(),
-            dirty: mutate(&prev, 9),
-            params: PaParams::default(),
-        });
-        drop(core); // must not hang or panic
-    }
+        // Heavy spends its quantum on two shards, is preempted, and the
+        // light tenant is served before heavy's third shard.
+        take(&mut s, 3);
+        assert_eq!(s.preemptions, 1);
+        assert_eq!(s.rounds, 2);
+        assert!(!s.queues.contains_key(&2), "drained queue is dropped");
 
-    #[test]
-    fn drop_with_full_result_queue_does_not_deadlock() {
-        // Regression test: with a tiny queue and many completed-but-unread
-        // results, the bounded result channel fills up and the pipeline
-        // stalls mid-delivery. Drop must drain it while joining instead of
-        // wedging on a worker blocked in send().
-        let prev = snapshot(2, 30);
-        let pool = CompressorPool::spawn(2, 1);
-        for seq in 0..8u64 {
-            pool.submit(CompressJob {
-                seq,
-                prev: prev.clone(),
-                dirty: mutate(&prev, 40 + seq),
-                params: PaParams::default(),
-            });
-        }
-        // Give the pipeline time to fill every bounded stage.
-        std::thread::sleep(Duration::from_millis(50));
-        drop(pool); // must not hang or panic
+        // The light tenant left one shard of credit unspent when it
+        // drained; it forfeited that, so its next 3-shard job is dealt two
+        // shards per round (with banked credit it would take all three).
+        s.push(2, Arc::clone(&light2), plan(3));
+        take(&mut s, 9);
+        assert!(s.pick(2 * shard_bytes).is_none(), "everything dealt");
+        assert_eq!(
+            order,
+            ["H0", "H1", "L0", "H2", "H3", "M0", "M1", "H4", "H5", "M2", "H6", "H7"]
+        );
+        assert_eq!(s.preemptions, 4);
+        assert_eq!(s.rounds, 7);
+        assert!(s.rr.is_empty() && s.queues.is_empty());
     }
 
     #[test]
     fn pool_output_is_bit_identical_to_serial_encode() {
-        // The acceptance bar for the pool: for N ∈ {1, 4} and snapshots of
-        // 0, 1, and many pages, the delivered PaDeltaFile is byte-for-byte
-        // the serial pa_encode output.
-        for &workers in &[1usize, 4] {
-            let base = snapshot(67, 10);
-            let cases: Vec<(Snapshot, Snapshot)> = vec![
-                (base.clone(), Snapshot::new()),              // empty dirty set
-                (base.clone(), mutate(&snapshot(1, 11), 12)), // single page
-                (base.clone(), mutate(&base, 13)),            // many pages
-                (Snapshot::new(), snapshot(9, 14)),           // all pages new
-            ];
-            let pool = CompressorPool::spawn(workers, 4);
-            for (seq, (prev, dirty)) in cases.iter().enumerate() {
-                pool.submit(CompressJob {
-                    seq: seq as u64,
-                    prev: prev.clone(),
-                    dirty: dirty.clone(),
-                    params: PaParams::default(),
-                });
-            }
-            let results = pool.drain();
-            assert_eq!(results.len(), cases.len());
-            for (r, (prev, dirty)) in results.iter().zip(&cases) {
-                let (file, report) = pa_encode(prev, dirty, &PaParams::default());
-                assert_eq!(r.file, file, "workers={workers} seq={}", r.seq);
-                assert_eq!(r.report, report, "workers={workers} seq={}", r.seq);
+        // The acceptance bar for the pool: at every plan width (whatever
+        // the thread count it clamps to) and for snapshots of 0, 1 and many
+        // pages (including the probe-bail mix), the delivered PaDeltaFile
+        // is byte-for-byte the serial pa_encode output, and it decodes back
+        // to the dirty set.
+        let base = snapshot(67, 10);
+        let cases: Vec<(Snapshot, Snapshot)> = vec![
+            (base.clone(), Snapshot::new()),              // empty dirty set
+            (base.clone(), mutate(&snapshot(1, 11), 12)), // single page
+            (base.clone(), mutate(&base, 13)),            // many pages
+            (base.clone(), probe_bail_mix(&base, 15)),    // bails mixed in
+            (Snapshot::new(), snapshot(9, 14)),           // all pages new
+        ];
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for workers in [1usize, 2, 4, 8] {
+            let pool = CompressorPool::spawn(workers, 64 << 10, None);
+            assert_eq!(pool.threads(), workers.min(hw), "threads clamp to the host");
+            let pending: Vec<_> = cases
+                .iter()
+                .map(|(prev, dirty)| {
+                    pool.submit(7, prev.clone(), dirty.clone(), PaParams::default())
+                })
+                .collect();
+            for (p, (prev, dirty)) in pending.into_iter().zip(&cases) {
+                let (file, report) = p.wait();
+                let (serial, serial_report) = pa_encode(prev, dirty, &PaParams::default());
+                assert_eq!(file, serial, "workers={workers}");
+                assert_eq!(report, serial_report, "workers={workers}");
+                assert_eq!(&pa_decode(prev, &file).unwrap(), dirty);
             }
         }
     }
 
     #[test]
+    fn concurrent_tenants_get_serial_bytes() {
+        // Tenants submitting from several threads at once, each with its
+        // own persona and rounds, interleave on the workers and preempt
+        // each other, and every one still gets the serial encoder's bytes.
+        let fleet = SharedDatasetFleet::heterogeneous(vec![12, 5, 30], 30, 4);
+        let pool = CompressorPool::spawn(4, 16 << 10, None);
+        std::thread::scope(|sc| {
+            for persona in 0..fleet.ranks() {
+                let (fleet, pool) = (&fleet, &pool);
+                sc.spawn(move || {
+                    for round in 1..4u64 {
+                        let prev = fleet.snapshot(persona, round - 1);
+                        let dirty = fleet.dirty(persona, round);
+                        let params = PaParams::default();
+                        let (serial, serial_report) = pa_encode(&prev, &dirty, &params);
+                        let (file, report) = pool.encode(persona as u64 + 1, prev, dirty, params);
+                        assert_eq!(file, serial, "persona {persona} round {round}");
+                        assert_eq!(report, serial_report, "persona {persona} round {round}");
+                    }
+                });
+            }
+        });
+        let stats = pool.stats();
+        assert!(stats.shards > 0);
+        assert!(stats.rounds > 0);
+    }
+
+    #[test]
     fn pool_cache_warms_across_jobs_and_output_stays_identical() {
-        // Submit the same (prev, dirty) job twice: the second run should be
+        // Encode the same (prev, dirty) job twice: the second run should be
         // served from the shared index cache (hits == hot pages) and still
         // produce bit-identical output. Then invalidate and confirm the
-        // next job rebuilds from scratch. The first job must be fully
-        // received before the second is submitted — concurrent jobs may
-        // race on cache population and split the hit/miss counts.
+        // next job rebuilds from scratch. The first job must be waited for
+        // before the second is submitted — concurrent jobs may race on
+        // cache population and split the hit/miss counts.
         let prev = snapshot(24, 50);
         let dirty = mutate(&prev, 51);
-        let pool = CompressorPool::spawn(4, 4);
-        pool.submit(CompressJob {
-            seq: 0,
-            prev: prev.clone(),
-            dirty: dirty.clone(),
-            params: PaParams::default(),
-        });
-        let r0 = pool.recv();
-        pool.submit(CompressJob {
-            seq: 1,
-            prev: prev.clone(),
-            dirty: dirty.clone(),
-            params: PaParams::default(),
-        });
-        let r1 = pool.recv();
-        assert_eq!(r0.file, r1.file);
-        assert_eq!(r0.report, r1.report);
-        let (serial, serial_report) = pa_encode(&prev, &dirty, &PaParams::default());
-        assert_eq!(r0.file, serial);
-        assert_eq!(r0.report, serial_report);
+        let pool = CompressorPool::spawn(4, SOLO_QUANTUM, None);
+        let r0 = pool.encode(0, prev.clone(), dirty.clone(), PaParams::default());
+        let r1 = pool.encode(0, prev.clone(), dirty.clone(), PaParams::default());
+        assert_eq!(r0, r1);
+        assert_eq!(r0, pa_encode(&prev, &dirty, &PaParams::default()));
         let cache = pool.index_cache();
         assert_eq!(cache.misses(), 24, "first job built every hot-page index");
         assert_eq!(cache.hits(), 24, "second job hit every one");
 
         pool.invalidate_cache();
         assert!(cache.is_empty());
-        pool.submit(CompressJob {
-            seq: 2,
-            prev: prev.clone(),
-            dirty: dirty.clone(),
-            params: PaParams::default(),
-        });
-        let r2 = pool.recv();
-        assert_eq!(r2.file, serial);
+        let r2 = pool.encode(0, prev.clone(), dirty.clone(), PaParams::default());
+        assert_eq!(r2, r0);
         assert_eq!(cache.misses(), 48, "post-invalidation job rebuilt all 24");
+        let stats = pool.stats();
+        assert_eq!(stats.preemptions, 0, "a solo quantum never preempts");
+        assert_eq!(stats.rounds, 3, "one credit per job");
     }
 
     #[test]
@@ -775,24 +639,24 @@ mod tests {
         let obs = Arc::new(Obs::new());
         let prev = snapshot(24, 60);
         let dirty = mutate(&prev, 61);
-        let pool = CompressorPool::spawn_with_obs(4, 4, Some(&obs));
-        for seq in 0..3u64 {
-            pool.submit(CompressJob {
-                seq,
-                prev: prev.clone(),
-                dirty: dirty.clone(),
-                params: PaParams::default(),
-            });
+        // One tenant: its jobs are dealt first in, first out, so the first
+        // job's indices are built before the later jobs look them up.
+        let pool = CompressorPool::spawn(4, SOLO_QUANTUM, Some(&obs));
+        let pending: Vec<_> = (0..3)
+            .map(|_| pool.submit(0, prev.clone(), dirty.clone(), PaParams::default()))
+            .collect();
+        for p in pending {
+            p.wait();
         }
-        // drain() consumes the pool, joining the workers, which flushes
-        // their local shard tallies into the shared counter.
-        let results = pool.drain();
-        assert_eq!(results.len(), 3);
+        let shards = pool.stats().shards;
+        // Dropping the pool joins the workers, which flushes their local
+        // latency samples into the shared histogram.
+        drop(pool);
 
         let snap = obs.metrics.snapshot();
         assert_eq!(snap.counter("pool.jobs"), Some(3));
-        let shards = snap.counter("pool.shards").unwrap();
-        assert!(shards >= 3, "each job is at least one shard, got {shards}");
+        assert_eq!(snap.counter("pool.shards"), Some(shards));
+        assert_eq!(shards, 3 * plan_shards(24, 4).len() as u64);
         assert_eq!(snap.gauge("pool.queue_depth"), Some(0.0));
         // 3 jobs x 24 pages = 72 cache lookups. The hit/miss split is not
         // exactly 48/24: two workers racing on the same cold page may both
@@ -819,74 +683,65 @@ mod tests {
     }
 
     #[test]
-    fn shard_queues_steal_and_drain_on_close() {
-        // Direct scheduler test: tasks dealt to worker 0's queue must be
-        // stealable by worker 1, queued tasks drain after close, and a
-        // post-drain pop reports shutdown.
-        let job = Arc::new(CompressJob {
-            seq: 0,
-            prev: Snapshot::new(),
-            dirty: Snapshot::new(),
-            params: PaParams::default(),
-        });
-        let mk = |slot: usize| ShardTask {
-            job: Arc::clone(&job),
-            state: Arc::new(JobState {
-                order: 0,
-                dispatched_at: Instant::now(),
-                queued: Duration::ZERO,
-                parts: Box::new([]),
-                remaining: AtomicUsize::new(1),
-            }),
-            slot,
-            shard: Shard { start: 0, end: 0 },
-        };
-        let q = ShardQueues::new(2, 8);
-        for slot in 0..3 {
-            q.push(0, mk(slot)).unwrap(); // all on worker 0's queue
+    fn submit_returns_at_once_and_drop_finishes_unwaited_jobs() {
+        // The caller keeps computing while the core compresses: submit
+        // queues and returns. Jobs nobody waits for are still encoded, and
+        // dropping the pool joins its workers without hanging.
+        let prev = snapshot(64, 2);
+        let pool = CompressorPool::spawn(1, SOLO_QUANTUM, None);
+        let pending: Vec<_> = (0..3)
+            .map(|seed| {
+                pool.submit(
+                    0,
+                    prev.clone(),
+                    mutate(&prev, 7 + seed),
+                    PaParams::default(),
+                )
+            })
+            .collect();
+        let mut acc = 0u64;
+        for i in 0..2_000_000u64 {
+            acc = acc.wrapping_add(i.wrapping_mul(2654435761));
         }
-        // Worker 1 owns an empty queue: it must steal from the BACK of
-        // worker 0's queue (LIFO for thieves, FIFO for the owner).
-        assert_eq!(q.pop(1).unwrap().slot, 2, "thief takes the back");
-        assert_eq!(q.pop(0).unwrap().slot, 0, "owner takes the front");
-        q.close();
-        assert_eq!(q.pop(1).unwrap().slot, 1, "queued work drains post-close");
-        assert!(q.pop(0).is_none(), "empty + closed = shutdown");
-        assert!(q.push(0, mk(9)).is_err(), "pushes fail after close");
+        assert_ne!(acc, 0);
+        let mut pending = pending.into_iter();
+        let (file, _) = pending.next().unwrap().wait();
+        assert_eq!(pa_decode(&prev, &file).unwrap(), mutate(&prev, 7));
+        drop(pending);
+        let _ = pool.submit(0, prev.clone(), mutate(&prev, 9), PaParams::default());
+        drop(pool); // must not hang or panic
     }
 
     /// The anti-scaling regression bar: on the small-edit regime, a pool
     /// asked for 8 workers must not be slower than a single worker beyond
-    /// 10% noise. (On a small host both clamp to the same thread count and
-    /// this checks pure scheduling overhead; on a multicore host it checks
+    /// 10% noise. (On a small host both clamp to few threads and this
+    /// checks pure scheduling overhead; on a multicore host it checks
     /// genuine scaling.) The two pools are timed alternately within each
     /// round and each side keeps its best, so a load spike on a shared
     /// host lands on both sides of one round instead of on one pool's
-    /// whole series. Excluded under `--cfg ci_slow`: wall-clock assertions
-    /// are meaningless on starved shared runners.
-    #[cfg(not(ci_slow))]
+    /// whole series.
     #[test]
     fn pool_does_not_anti_scale_on_small_edits() {
         const PAGES: usize = 256;
         let prev = snapshot(PAGES, 80);
         let dirty = mutate(&prev, 81); // 128-byte edit per page
-        let pools = [CompressorPool::spawn(1, 4), CompressorPool::spawn(8, 4)];
-        let ns_per_page = |pool: &CompressorPool, seq: u64| {
-            pool.submit(CompressJob {
-                seq,
-                prev: prev.clone(),
-                dirty: dirty.clone(),
-                params: PaParams::default(),
-            });
-            pool.recv().wall.as_nanos() as f64 / PAGES as f64
+        let pools = [
+            CompressorPool::spawn(1, SOLO_QUANTUM, None),
+            CompressorPool::spawn(8, SOLO_QUANTUM, None),
+        ];
+        let ns_per_page = |pool: &CompressorPool| {
+            let (prev, dirty) = (prev.clone(), dirty.clone());
+            let t0 = Instant::now();
+            pool.encode(0, prev, dirty, PaParams::default());
+            t0.elapsed().as_nanos() as f64 / PAGES as f64
         };
         for pool in &pools {
-            ns_per_page(pool, 0); // warm the cache and the threads
+            ns_per_page(pool); // warm the cache and the threads
         }
         let mut best = [f64::INFINITY; 2];
-        for seq in 1..16 {
+        for _ in 1..16 {
             for (b, pool) in best.iter_mut().zip(&pools) {
-                *b = b.min(ns_per_page(pool, seq));
+                *b = b.min(ns_per_page(pool));
             }
         }
         let [one, eight] = best;
@@ -894,49 +749,5 @@ mod tests {
             eight <= one * 1.1,
             "pool anti-scales: 1 worker {one:.0} ns/page, 8 workers {eight:.0} ns/page"
         );
-    }
-
-    #[test]
-    fn submit_blocks_when_pipeline_is_full() {
-        // Back-pressure: with nobody receiving, a submitter must block
-        // after a bounded number of in-flight jobs instead of buffering
-        // them all — independent of how fast the workers compress, because
-        // every pipeline stage is a bounded channel. Receiving then
-        // unblocks it and every result arrives in submission order.
-        const JOBS: u64 = 64;
-        let prev = snapshot(1, 20);
-        let dirty = mutate(&prev, 21);
-        let pool = Arc::new(CompressorPool::spawn(1, 2));
-        let progress = Arc::new(AtomicU64::new(0));
-
-        let submitter = std::thread::spawn({
-            let pool = Arc::clone(&pool);
-            let progress = Arc::clone(&progress);
-            let (prev, dirty) = (prev.clone(), dirty.clone());
-            move || {
-                for seq in 0..JOBS {
-                    pool.submit(CompressJob {
-                        seq,
-                        prev: prev.clone(),
-                        dirty: dirty.clone(),
-                        params: PaParams::default(),
-                    });
-                    progress.store(seq + 1, Ordering::SeqCst);
-                }
-            }
-        });
-
-        std::thread::sleep(Duration::from_millis(300));
-        let high_water = progress.load(Ordering::SeqCst);
-        assert!(
-            high_water < JOBS,
-            "submit never blocked: all {JOBS} jobs entered a \"bounded\" pipeline"
-        );
-
-        for seq in 0..JOBS {
-            assert_eq!(pool.recv().seq, seq);
-        }
-        submitter.join().unwrap();
-        assert_eq!(pool.in_flight(), 0);
     }
 }

@@ -1,8 +1,11 @@
 //! The checkpoint engine: runs a simulated process under a pluggable
 //! checkpoint *policy*, cutting incremental checkpoints, compressing them
-//! on the (modelled) checkpointing core, and recording per-interval
-//! measurements — the harness equivalent of the paper's modified BLCR
-//! testbed (Fig. 9 / Fig. 10).
+//! on the checkpointing core(s), and recording per-interval measurements —
+//! the harness equivalent of the paper's modified BLCR testbed (Fig. 9 /
+//! Fig. 10). Xdelta3-PA encodes run for real: on the engine's own thread
+//! at one core, and on a `config.cores`-wide [`CompressorPool`] the engine
+//! owns for the whole run (its only tenant) on more; their *cost* is
+//! charged from the cost model at that width.
 //!
 //! The engine separates two clocks:
 //!
@@ -21,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 
 use aic_delta::encode::EncodeParams;
-use aic_delta::pa::{pa_encode_parallel_cached, PaParams, SourceIndexCache};
+use aic_delta::pa::{pa_encode_cached, PaParams, SourceIndexCache};
 use aic_delta::stats::CostModel;
 use aic_delta::xor::xor_encode;
 use aic_memsim::{AddressSpace, SimProcess, SimTime, Snapshot};
@@ -30,6 +33,7 @@ use aic_model::FailureRates;
 use aic_obs::{Counter, Gauge, Histogram, Obs, Span};
 
 use crate::chain::{CheckpointChain, RestoreError};
+use crate::concurrent::{CompressorPool, SOLO_QUANTUM};
 use crate::format::{CheckpointFile, CheckpointKind};
 use crate::harness::{FailureSchedule, FaultEvent};
 use crate::recovery::{RecoveryError, StorageHierarchy};
@@ -479,10 +483,18 @@ pub fn run_engine_with_faults(
     // After a recovery the next checkpoint is forced full: a fresh anchor
     // re-baselines every level and truncates the superseded chain.
     let mut force_full = false;
-    // Per-run cross-interval source-index cache for the PA compressor.
-    // Entries only serve on exact source equality; invalidated wholesale at
-    // every recovery barrier because the timeline they indexed is gone.
-    let index_cache = SourceIndexCache::new();
+    // The run's checkpointing core(s). A PA run on more than one core owns
+    // a `cores`-wide encode pool (its only tenant; the pool registers no
+    // metrics of its own). On one core the engine's own thread is that
+    // core and encodes inline, which keeps the pages the process just
+    // dirtied in this core's caches instead of handing them to a worker on
+    // another core. Either way one cross-interval source-index cache
+    // serves only on exact source equality and is invalidated wholesale at
+    // every recovery barrier because the timeline it indexed is gone.
+    let pool = (config.cores > 1 && matches!(config.compressor, Compressor::PaDelta(_)))
+        .then(|| CompressorPool::spawn(config.cores, SOLO_QUANTUM, None));
+    let own_cache = SourceIndexCache::new();
+    let index_cache = pool.as_ref().map_or(&own_cache, |p| p.index_cache());
     // Write-behind network transport for the L3 drain. Its clock runs on
     // the workload axis *plus* the accumulated back-pressure stalls: a
     // stall advances wall time (and the drain keeps shipping bytes) while
@@ -699,14 +711,20 @@ pub fn run_engine_with_faults(
                     // pool-width latency — the predictor trains on what the
                     // deployment actually costs, not a serial fiction. The
                     // shared index cache persists across intervals and is
-                    // flushed at every recovery barrier above.
-                    let (file, report) = pa_encode_parallel_cached(
-                        &prev_state,
-                        &dirty,
-                        params,
-                        config.cores,
-                        Some(&index_cache),
-                    );
+                    // flushed at every recovery barrier above. Only the
+                    // dirty pages' previous versions are delta sources, so
+                    // a pool job carries just those.
+                    let (file, report) = match &pool {
+                        Some(pool) => {
+                            let sources = Snapshot::from_pages(
+                                dirty
+                                    .indices()
+                                    .filter_map(|i| prev_state.get(i).map(|p| (i, p.clone()))),
+                            );
+                            pool.encode(config.job, sources, dirty.clone(), *params)
+                        }
+                        None => pa_encode_cached(&prev_state, &dirty, params, index_cache),
+                    };
                     let ds = file.wire_len();
                     let dl = config
                         .cost_model

@@ -41,9 +41,9 @@
 //! * [`sim`] — an *independently coded* discrete-event Monte-Carlo
 //!   simulator of the concurrent-L2L3 and Moody operational semantics, used
 //!   to cross-validate the Markov models;
-//! * [`concurrent`] — a real dedicated checkpointing-core thread
-//!   (compression + remote transfer off the critical path), demonstrating
-//!   the wall-clock concurrency the paper exploits;
+//! * [`concurrent`] — the real dedicated checkpointing core(s): the one
+//!   encode pool, whose workers deal tenant-tagged page shards by deficit
+//!   round robin off the caller's critical path;
 //! * [`transport`] — the simulated shared network the L3 drain rides:
 //!   SF-way fair-share contention, a bounded **write-behind** commit queue
 //!   with back-pressure, and seeded transient faults (drop / timeout /
@@ -59,8 +59,8 @@
 //!   mode-invariant record stream, and the deterministic script-replay
 //!   driver (the oracle side of the wall-clock contract);
 //! * [`wallclock`] — the real-thread fleet server: tenant sessions on OS
-//!   threads, shard-granular preemptive DRR encoding, blocking admission
-//!   and transport back-pressure, a background drainer;
+//!   threads encoding through one shared pool, blocking admission and
+//!   transport back-pressure, a background drainer;
 //! * [`rpc`](mod@rpc) — the `aicd` fleet socket protocol: AIRF
 //!   length-prefixed frames (AILR conventions), `join`/`cut`/`crash`/
 //!   `recover`/`leave`/`stats` verbs, a blocking client.

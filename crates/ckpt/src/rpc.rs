@@ -115,6 +115,8 @@ fn encode_policy(p: TenantPolicy, out: &mut Vec<u8>) {
     }
 }
 
+/// Decode a JOIN policy; its interval (`w` or `bootstrap`) must be a
+/// finite, positive number of seconds.
 fn decode_policy(b: &[u8]) -> io::Result<TenantPolicy> {
     let f = f64::from_le_bytes(
         b.get(1..9)
@@ -122,6 +124,12 @@ fn decode_policy(b: &[u8]) -> io::Result<TenantPolicy> {
             .try_into()
             .expect("8 bytes"),
     );
+    if !(f.is_finite() && f > 0.0) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("policy interval {f} is not a finite, positive number of seconds"),
+        ));
+    }
     match b.first() {
         Some(0) => Ok(TenantPolicy::Fixed(f)),
         Some(1) => Ok(TenantPolicy::Adaptive { bootstrap: f }),
@@ -223,6 +231,20 @@ fn handle_conn(stream: UnixStream, server: &FleetServer, stop: &AtomicBool) -> i
     }
 }
 
+/// The connection's session, which `verb` needs up (not crashed).
+fn up_session<'a, 'srv>(
+    session: &'a mut Option<TenantSession<'srv>>,
+    verb: &str,
+) -> Result<&'a mut TenantSession<'srv>, String> {
+    let sess = session
+        .as_mut()
+        .ok_or_else(|| format!("{verb} before join"))?;
+    if sess.is_down() {
+        return Err(format!("{verb} on a crashed session (recover first)"));
+    }
+    Ok(sess)
+}
+
 fn dispatch<'srv>(
     kind: u8,
     payload: &[u8],
@@ -240,6 +262,9 @@ fn dispatch<'srv>(
             let persona = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")) as usize;
             let policy = decode_policy(&payload[4..13]).map_err(|e| e.to_string())?;
             let rounds = u64::from_le_bytes(payload[13..21].try_into().expect("8 bytes"));
+            if rounds == 0 {
+                return Err("rounds must be at least 1".into());
+            }
             if persona >= server.fleet().ranks() {
                 return Err(format!(
                     "persona {persona} outside the fleet ({} ranks)",
@@ -252,7 +277,7 @@ fn dispatch<'srv>(
             Ok((KIND_JOIN | RESP_BIT, id.to_le_bytes().to_vec()))
         }
         KIND_CUT => {
-            let sess = session.as_mut().ok_or("cut before join")?;
+            let sess = up_session(session, "cut")?;
             let ev = sess.cut().map_err(|e| e.to_string())?;
             let StreamEvent::Commit {
                 ordinal,
@@ -274,7 +299,7 @@ fn dispatch<'srv>(
             Ok((KIND_CUT | RESP_BIT, body))
         }
         KIND_CRASH => {
-            let sess = session.as_mut().ok_or("crash before join")?;
+            let sess = up_session(session, "crash")?;
             let level = *payload.first().ok_or("crash payload must be level u8")? as usize;
             if !(1..=3).contains(&level) {
                 return Err("crash level must be 1..=3".into());
@@ -284,6 +309,9 @@ fn dispatch<'srv>(
         }
         KIND_RECOVER => {
             let sess = session.as_mut().ok_or("recover before join")?;
+            if !sess.is_down() {
+                return Err("recover on a session that has not crashed".into());
+            }
             let ev = sess.recover().map_err(|e| e.to_string())?;
             let StreamEvent::Recover {
                 level,
@@ -300,7 +328,8 @@ fn dispatch<'srv>(
             Ok((KIND_RECOVER | RESP_BIT, body))
         }
         KIND_LEAVE => {
-            let sess = session.take().ok_or("leave before join")?;
+            up_session(session, "leave")?;
+            let sess = session.take().expect("an up session");
             let events = sess.leave();
             let Some(StreamEvent::Leave { verified, leaked }) = events.last() else {
                 return Err("leave produced no event".into());
@@ -476,5 +505,98 @@ mod tests {
                 _ => panic!("policy tag changed in roundtrip"),
             }
         }
+        // Intervals that are not a finite, positive number of seconds are
+        // refused for both policy kinds.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -2.5] {
+            for p in [
+                TenantPolicy::Fixed(bad),
+                TenantPolicy::Adaptive { bootstrap: bad },
+            ] {
+                let mut buf = Vec::new();
+                encode_policy(p, &mut buf);
+                let err = decode_policy(&buf).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{p:?}");
+            }
+        }
+    }
+
+    /// The server's error reply to a request, as the client surfaces it
+    /// (an EOF or a protocol error here would mean the handler died).
+    fn refused<T: std::fmt::Debug>(r: io::Result<T>) -> String {
+        let err = r.expect_err("request must be refused");
+        assert_eq!(
+            err.kind(),
+            io::ErrorKind::Other,
+            "not an error reply: {err}"
+        );
+        err.to_string()
+    }
+
+    /// Out-of-order verbs on one connection, then malformed joins on a
+    /// second: each is refused, and both sessions still leave cleanly.
+    fn refusals_client(path: &Path) {
+        let mut c = FleetClient::connect(path).expect("connect");
+        c.join(0, TenantPolicy::Fixed(2.0), 4).expect("join");
+        assert!(refused(c.recover()).contains("not crashed"));
+        c.cut().expect("cut");
+        c.crash(1).expect("crash");
+        assert!(refused(c.cut()).contains("recover first"));
+        assert!(refused(c.crash(2)).contains("recover first"));
+        assert!(refused(c.leave()).contains("recover first"));
+        c.recover().expect("recover after the refusals");
+        c.cut().expect("cut after recovery");
+        let bye = c.leave().expect("clean leave");
+        assert_ne!(bye.verified, Some(false), "departure failed verify");
+        assert_eq!(bye.leaked, 0, "records leaked past departure");
+
+        let mut c = FleetClient::connect(path).expect("reconnect");
+        let inf = f64::INFINITY;
+        for (policy, rounds) in [
+            (TenantPolicy::Fixed(f64::NAN), 4),
+            (TenantPolicy::Fixed(0.0), 4),
+            (TenantPolicy::Adaptive { bootstrap: -1.0 }, 4),
+            (TenantPolicy::Adaptive { bootstrap: inf }, 4),
+            (TenantPolicy::Fixed(2.0), 0),
+        ] {
+            refused(c.join(1, policy, rounds));
+        }
+        c.join(1, TenantPolicy::Adaptive { bootstrap: 3.0 }, 2)
+            .expect("valid join after the refusals");
+        c.cut().expect("cut");
+        assert_eq!(c.leave().expect("leave").leaked, 0);
+    }
+
+    #[test]
+    fn out_of_order_verbs_and_bad_joins_get_error_replies() {
+        use crate::fleet::SharedDatasetFleet;
+        use crate::service::ServiceConfig;
+        use aic_model::FailureRates;
+
+        let path = std::env::temp_dir().join(format!("aicd-rpc-unit-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let fleet = SharedDatasetFleet::heterogeneous(vec![4, 6], 30, 13);
+        let mut cfg = ServiceConfig::fleet_default(FailureRates::new(vec![3e-4, 2e-4, 1e-4]));
+        cfg.cores = 2;
+        cfg.b3 = 1.0e6;
+        let server = FleetServer::start(fleet, cfg);
+        let listener = UnixListener::bind(&path).expect("bind test socket");
+        let stop = AtomicBool::new(false);
+
+        // The client runs on its own thread so that a failed assertion
+        // still stops the server instead of wedging the scope.
+        let (client, served) = thread::scope(|sc| {
+            let serve = sc.spawn(|| serve(listener, &server, &stop));
+            let client = sc.spawn(|| refusals_client(&path)).join();
+            stop.store(true, Ordering::Relaxed);
+            (client, serve.join())
+        });
+        if let Err(panic) = client {
+            std::panic::resume_unwind(panic);
+        }
+        let served = served.expect("serve thread panicked");
+        let _ = std::fs::remove_file(&path);
+        assert!(served.is_ok(), "serve failed: {served:?}");
+        assert_eq!(server.violations(), 0);
+        assert_eq!(server.stats().active, 0);
     }
 }

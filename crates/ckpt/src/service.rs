@@ -7,10 +7,12 @@
 //! schedule, and working-set persona (a rank of a
 //! [`crate::fleet::SharedDatasetFleet`]), all sharing:
 //!
-//! * **one [`CompressorPool`]** — real encode work for every tenant runs
-//!   through the same shared pool; *virtual* encode time is scheduled by a
-//!   deficit-round-robin (DRR) dispatcher over `cores` virtual encode
-//!   cores, so one heavy-dirty tenant cannot starve the light ones;
+//! * **one [`CompressorPool`]** — every tenant's real encode work is
+//!   submitted to the same shared pool, tagged with the tenant, and each
+//!   tick waits for its cutters' jobs in cutter order; *virtual* encode
+//!   time is scheduled by a deficit-round-robin (DRR) dispatcher over
+//!   `cores` virtual encode cores, so one heavy-dirty tenant cannot starve
+//!   the light ones;
 //! * **one write-behind [`crate::transport::NetworkTransport`]** — every
 //!   tenant's L3 drain contends on the same SF-way fair-shared link behind
 //!   one bounded queue (back-pressure stalls the cutter, it never drops);
@@ -42,7 +44,7 @@ use aic_model::FailureRates;
 use aic_obs::{Counter, Field, Gauge, Histogram, Obs};
 
 use crate::clock::{ClockSource, VirtualClock};
-use crate::concurrent::{CompressJob, CompressorPool};
+use crate::concurrent::CompressorPool;
 use crate::fleet::SharedDatasetFleet;
 use crate::fleetcore::{
     build_cut, local_write_latency, FleetCore, RecoveryWindow, TenantCore, BLOCK_US_BUCKETS,
@@ -542,7 +544,7 @@ pub fn run_service(
 
     let fobs = cfg.obs.as_ref().map(register_metrics);
     let core = FleetCore::new(cfg, fobs.as_ref().map(|o| o.violations.clone()));
-    let pool = CompressorPool::spawn_with_obs(cfg.cores, 64, cfg.obs.as_ref());
+    let pool = CompressorPool::spawn(cfg.cores, cfg.quantum_bytes, cfg.obs.as_ref());
     let mut svc = Service {
         fleet,
         cfg,
@@ -659,10 +661,9 @@ pub fn run_service(
             o.waiting.set(admission_q.len() as f64);
         }
 
-        // 6. Work accrual and cut decisions, tenant order. Real delta
-        // encodes run through the shared pool (drain-before-submit keeps
-        // the bounded pipeline deadlock-free); virtual encode time is
-        // DRR-scheduled below.
+        // 6. Work accrual and cut decisions, tenant order. Every delta
+        // cutter's real encode is submitted to the shared pool before any
+        // is waited for; virtual encode time is DRR-scheduled below.
         let mut cutters: Vec<usize> = Vec::new();
         for (id, t) in svc.tenants.iter_mut().enumerate() {
             if !matches!(t.state, TenantState::Working) || t.busy_until > now {
@@ -673,37 +674,23 @@ pub fn run_service(
                 cutters.push(id);
             }
         }
-        let mut results = Vec::new();
-        let mut submitted = 0;
+        let mut pending = Vec::new();
         for &id in &cutters {
             let t = &svc.tenants[id].core;
-            if t.next_is_full(cfg.full_every) {
-                continue;
+            if !t.next_is_full(cfg.full_every) {
+                let (prev, dirty) = t.delta_inputs(fleet);
+                pending.push(pool.submit(t.job, prev, dirty, cfg.pa));
             }
-            let (prev, dirty) = t.delta_inputs(fleet);
-            while let Some(r) = pool.try_recv() {
-                results.push(r);
-            }
-            pool.submit(CompressJob {
-                seq: t.round + 1,
-                prev,
-                dirty,
-                params: cfg.pa,
-            });
-            submitted += 1;
         }
-        while results.len() < submitted {
-            results.push(pool.recv());
-        }
-        let mut results = results.into_iter();
+        let mut pending = pending.into_iter();
         for &id in &cutters {
             let t = &mut svc.tenants[id];
             let c1 = local_write_latency(fleet, cfg, t.core.persona);
             let (shards, delta) = if t.core.next_is_full(cfg.full_every) {
                 (VecDeque::new(), None)
             } else {
-                let r = results.next().expect("one pool result per delta cut");
-                let dl_single = cfg.cost_model.delta_latency(&r.report);
+                let (file, report) = pending.next().expect("one pool job per delta cut").wait();
+                let dl_single = cfg.cost_model.delta_latency(&report);
                 let n_pages = fleet.pages_of(t.core.persona);
                 let shards = plan_shards(n_pages, cfg.cores)
                     .iter()
@@ -713,7 +700,7 @@ pub fn run_service(
                         (pages * aic_memsim::PAGE_SIZE as u64, secs)
                     })
                     .collect();
-                (shards, Some((r.file, r.report)))
+                (shards, Some((file, report)))
             };
             t.state = TenantState::Cutting;
             t.queue.push_back(EncodeJob {

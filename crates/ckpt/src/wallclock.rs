@@ -10,8 +10,9 @@
 //!
 //! * time comes from a [`MonotonicClock`]; tenant sessions live on OS
 //!   threads, behind a FIFO admission gate that **blocks real callers**;
-//! * encode work is scheduled preemptively across a shared worker pool at
-//!   **shard granularity** (the deficit-round-robin encoder below);
+//! * every session encodes through one shared [`CompressorPool`], tagged
+//!   with its tenant, so cuts are scheduled preemptively across the workers
+//!   at **shard granularity** (deficit round robin);
 //! * transport back-pressure blocks the cutting caller, and a level-3
 //!   crash polls until the tenant's own L3 drains are acknowledged;
 //! * a recovery window stays open until the session's `recover` call;
@@ -27,23 +28,15 @@
 //! deterministic snapshots, so the golden-replay artifacts are untouched
 //! by this mode existing.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Sender};
-
-use aic_delta::pa::{
-    pa_assemble, pa_encode_shard_scratch, plan_shards, PaDeltaFile, PaParams, PageRecord, Shard,
-    ShardScratch, SourceIndexCache,
-};
-use aic_delta::stats::EncodeReport;
-use aic_memsim::{Snapshot, PAGE_SIZE};
 use aic_obs::{Counter, Gauge, Histogram, Obs, Volatility};
 
 use crate::clock::{ClockSource, MonotonicClock};
+use crate::concurrent::{CompressorPool, PoolStats};
 use crate::fleet::SharedDatasetFleet;
 use crate::fleetcore::{build_cut, FleetCore, RecoveryWindow, TenantCore, BLOCK_US_BUCKETS};
 use crate::recovery::RecoveryError;
@@ -118,263 +111,13 @@ impl AdmissionGate {
 }
 
 // ---------------------------------------------------------------------------
-// DRR shard encoder
-// ---------------------------------------------------------------------------
-
-/// A finished shard: its page records plus the per-shard encode report.
-type ShardPart = (Vec<PageRecord>, EncodeReport);
-
-/// One submitted encode job: the shard parts are reassembled by whichever
-/// worker finishes last, exactly as in [`crate::concurrent::CompressorPool`]
-/// — so the delivered file and report are byte-identical to the serial
-/// encoder's.
-struct EncJob {
-    prev: Snapshot,
-    dirty: Snapshot,
-    params: PaParams,
-    parts: Vec<Mutex<Option<ShardPart>>>,
-    remaining: AtomicUsize,
-    tx: Sender<(PaDeltaFile, EncodeReport)>,
-}
-
-/// A job's undealt shards, each tagged with its plan index.
-type ShardQueue = VecDeque<(usize, Shard)>;
-
-/// One tenant's pending encode work: jobs in submission order, each with
-/// its undealt shards.
-struct TenantQ {
-    deficit: u64,
-    credited: bool,
-    jobs: VecDeque<(Arc<EncJob>, ShardQueue)>,
-}
-
-struct Sched {
-    /// Round-robin order of tenants with pending shards; front is served.
-    rr: VecDeque<u64>,
-    queues: HashMap<u64, TenantQ>,
-    shutdown: bool,
-}
-
-struct EncState {
-    sched: Mutex<Sched>,
-    cv: Condvar,
-    /// Cross-job source-index cache shared by every worker; hits require
-    /// exact source equality, so output stays bit-identical (the pool's
-    /// proven property).
-    cache: SourceIndexCache,
-    quantum: u64,
-    shards_done: AtomicU64,
-    preemptions: AtomicU64,
-    rounds: AtomicU64,
-    obs: Option<WcObs>,
-}
-
-/// The preemptive deficit-round-robin encode scheduler.
-///
-/// Workers pull one *shard* at a time: between any two shards the
-/// scheduler re-examines the round-robin queue, so a tenant with a large
-/// job in flight is preempted the moment its head shard no longer fits its
-/// deficit — the wall-clock realization of the simulator's shard-granular
-/// DRR dispatch (step 7 of [`crate::service::run_service`]).
-pub(crate) struct DrrEncoder {
-    state: Arc<EncState>,
-    plan_width: usize,
-    workers: Vec<thread::JoinHandle<()>>,
-}
-
-impl DrrEncoder {
-    /// Spawn `min(cores, available_parallelism)` workers; shards are
-    /// planned at width `cores` regardless, so shard boundaries (and
-    /// therefore assembled outputs) are machine-independent.
-    pub(crate) fn spawn(cores: usize, quantum_bytes: u64, obs: Option<WcObs>) -> Self {
-        let plan_width = cores.max(1);
-        let hw = thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = plan_width.min(hw);
-        let state = Arc::new(EncState {
-            sched: Mutex::new(Sched {
-                rr: VecDeque::new(),
-                queues: HashMap::new(),
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-            cache: SourceIndexCache::new(),
-            quantum: quantum_bytes.max(1),
-            shards_done: AtomicU64::new(0),
-            preemptions: AtomicU64::new(0),
-            rounds: AtomicU64::new(0),
-            obs,
-        });
-        let workers = (0..threads)
-            .map(|i| {
-                let st = Arc::clone(&state);
-                thread::Builder::new()
-                    .name(format!("aic-drr-{i}"))
-                    .spawn(move || worker_loop(&st))
-                    .expect("spawn DRR worker")
-            })
-            .collect();
-        DrrEncoder {
-            state,
-            plan_width,
-            workers,
-        }
-    }
-
-    /// Encode one delta cut for `tenant`, blocking until the assembled
-    /// file is ready. Fair across tenants at shard granularity.
-    pub(crate) fn encode(
-        &self,
-        tenant: u64,
-        prev: Snapshot,
-        dirty: Snapshot,
-        params: PaParams,
-    ) -> (PaDeltaFile, EncodeReport) {
-        let plan = plan_shards(dirty.len(), self.plan_width);
-        if plan.is_empty() {
-            return pa_assemble(std::iter::empty());
-        }
-        let (tx, rx) = bounded(1);
-        let job = Arc::new(EncJob {
-            prev,
-            dirty,
-            params,
-            parts: plan.iter().map(|_| Mutex::new(None)).collect(),
-            remaining: AtomicUsize::new(plan.len()),
-            tx,
-        });
-        let shards: VecDeque<(usize, Shard)> = plan.into_iter().enumerate().collect();
-        {
-            let mut s = self.state.sched.lock().unwrap();
-            assert!(!s.shutdown, "encoder is shut down");
-            let q = s.queues.entry(tenant).or_insert_with(|| TenantQ {
-                deficit: 0,
-                credited: false,
-                jobs: VecDeque::new(),
-            });
-            let was_idle = q.jobs.is_empty();
-            q.jobs.push_back((job, shards));
-            if was_idle {
-                s.rr.push_back(tenant);
-            }
-            self.state.cv.notify_all();
-        }
-        rx.recv().expect("DRR worker delivered")
-    }
-
-    fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.state.shards_done.load(Ordering::Relaxed),
-            self.state.preemptions.load(Ordering::Relaxed),
-            self.state.rounds.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl Drop for DrrEncoder {
-    fn drop(&mut self) {
-        {
-            let mut s = self.state.sched.lock().unwrap();
-            s.shutdown = true;
-            self.state.cv.notify_all();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(st: &EncState) {
-    let mut scratch = ShardScratch::new();
-    loop {
-        // Pick the next shard under the scheduler lock. This re-runs
-        // between every two shards a worker encodes — the preemption point.
-        let picked = {
-            let mut s = st.sched.lock().unwrap();
-            loop {
-                if s.rr.is_empty() {
-                    if s.shutdown {
-                        return;
-                    }
-                    s = st.cv.wait(s).unwrap();
-                    continue;
-                }
-                let tid = *s.rr.front().expect("non-empty rr");
-                let q = s.queues.get_mut(&tid).expect("queued tenant");
-                if !q.credited {
-                    q.deficit = q.deficit.saturating_add(st.quantum);
-                    q.credited = true;
-                    st.rounds.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = &st.obs {
-                        o.drr_rounds.inc();
-                    }
-                }
-                let Some((job, shards)) = q.jobs.front_mut() else {
-                    // Drained queue forfeits its deficit (classic DRR).
-                    s.queues.remove(&tid);
-                    s.rr.pop_front();
-                    continue;
-                };
-                let &(slot, shard) = shards.front().expect("job with shards");
-                let bytes = (shard.end - shard.start) as u64 * PAGE_SIZE as u64;
-                if bytes > q.deficit {
-                    // Head shard no longer fits: preempt this tenant, move
-                    // it to the back, credit the next one.
-                    st.preemptions.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = &st.obs {
-                        o.preemptions.inc();
-                    }
-                    q.credited = false;
-                    s.rr.rotate_left(1);
-                    continue;
-                }
-                q.deficit -= bytes;
-                shards.pop_front();
-                let job = Arc::clone(job);
-                if shards.is_empty() {
-                    q.jobs.pop_front();
-                    if q.jobs.is_empty() {
-                        s.queues.remove(&tid);
-                        s.rr.pop_front();
-                    }
-                }
-                break (job, slot, shard);
-            }
-        };
-        let (job, slot, shard) = picked;
-        let part = pa_encode_shard_scratch(
-            &job.prev,
-            &job.dirty,
-            shard,
-            &job.params,
-            Some(&st.cache),
-            &mut scratch,
-        );
-        *job.parts[slot].lock().unwrap() = Some(part);
-        st.shards_done.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = &st.obs {
-            o.shards.inc();
-        }
-        if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last shard in: this worker assembles and delivers.
-            let parts = job
-                .parts
-                .iter()
-                .map(|p| p.lock().unwrap().take().expect("shard encoded"));
-            let assembled = pa_assemble(parts);
-            let _ = job.tx.send(assembled);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Wall-clock observability (Volatile-class)
 // ---------------------------------------------------------------------------
 
 /// Volatile `fleet.wc.*` metric handles. Every series registered here is
 /// [`Volatility::Volatile`]: wall-clock runs never contaminate a
 /// deterministic snapshot, keeping the golden-replay artifacts stable.
-#[derive(Clone)]
-pub(crate) struct WcObs {
+struct WcObs {
     obs: Arc<Obs>,
     admitted: Counter,
     active: Gauge,
@@ -408,6 +151,17 @@ fn wc_metrics(obs: &Arc<Obs>) -> WcObs {
     }
 }
 
+impl WcObs {
+    /// Advance the encode counters from `seen` to the pool's totals `now`
+    /// (monotone, so the differences are never negative).
+    fn mirror_pool(&self, seen: &mut PoolStats, now: PoolStats) {
+        self.shards.add(now.shards - seen.shards);
+        self.preemptions.add(now.preemptions - seen.preemptions);
+        self.drr_rounds.add(now.rounds - seen.rounds);
+        *seen = now;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The server
 // ---------------------------------------------------------------------------
@@ -426,6 +180,8 @@ struct Shared {
     wire_bytes: u64,
     recoveries: u64,
     departures: u64,
+    /// Pool counters already mirrored into `fleet.wc.*`.
+    pool_seen: PoolStats,
 }
 
 /// Live snapshot of the server's counters — the `stats` RPC payload.
@@ -451,7 +207,7 @@ pub struct FleetStats {
     pub wire_bytes: u64,
     /// L3 drains currently in flight.
     pub in_flight: u64,
-    /// Encode shards completed by the DRR pool.
+    /// Encode shards completed by the shared pool.
     pub shards: u64,
     /// Tenants preempted at a shard boundary.
     pub preemptions: u64,
@@ -493,7 +249,7 @@ pub struct FleetServer {
     cfg: ServiceConfig,
     clock: MonotonicClock,
     gate: AdmissionGate,
-    encoder: DrrEncoder,
+    pool: CompressorPool,
     shared: Arc<Mutex<Shared>>,
     wc: Option<WcObs>,
     stop: Arc<AtomicBool>,
@@ -502,8 +258,8 @@ pub struct FleetServer {
 
 impl FleetServer {
     /// Start the server: build the fleet core from `cfg` (exactly as the
-    /// simulator does), spawn the DRR encode workers and the transport
-    /// drainer.
+    /// simulator does), spawn the encode pool (`cfg.cores` wide, crediting
+    /// `cfg.quantum_bytes` per DRR round) and the transport drainer.
     ///
     /// # Panics
     ///
@@ -530,6 +286,7 @@ impl FleetServer {
             wire_bytes: 0,
             recoveries: 0,
             departures: 0,
+            pool_seen: PoolStats::default(),
         }));
         let clock = MonotonicClock::new();
         let stop = Arc::new(AtomicBool::new(false));
@@ -551,13 +308,16 @@ impl FleetServer {
                 })
                 .expect("spawn drainer")
         };
-        let encoder = DrrEncoder::spawn(cfg.cores, cfg.quantum_bytes, wc.clone());
+        // No obs: the pool's `pool.*` series are Stable-class, and
+        // wall-clock scheduling would write nondeterministic values into
+        // them. `fleet.wc.*` mirrors the pool's counters instead.
+        let pool = CompressorPool::spawn(cfg.cores, cfg.quantum_bytes, None);
         FleetServer {
             fleet,
             cfg,
             clock,
             gate: AdmissionGate::new(),
-            encoder,
+            pool,
             shared,
             wc,
             stop,
@@ -609,7 +369,7 @@ impl FleetServer {
 
     /// Live counter snapshot (the `stats` RPC).
     pub fn stats(&self) -> FleetStats {
-        let (shards, preemptions, drr_rounds) = self.encoder.stats();
+        let pool = self.pool.stats();
         let sh = self.shared.lock().unwrap();
         FleetStats {
             uptime: self.clock.now(),
@@ -622,9 +382,9 @@ impl FleetServer {
             violations: sh.core.violations(),
             wire_bytes: sh.wire_bytes,
             in_flight: sh.core.transport.in_flight() as u64,
-            shards,
-            preemptions,
-            drr_rounds,
+            shards: pool.shards,
+            preemptions: pool.preemptions,
+            drr_rounds: pool.rounds,
         }
     }
 
@@ -640,7 +400,7 @@ impl Drop for FleetServer {
         if let Some(h) = self.drainer.take() {
             let _ = h.join();
         }
-        // DrrEncoder's own Drop joins the workers.
+        // The pool's own Drop joins the encode workers.
     }
 }
 
@@ -680,6 +440,14 @@ impl TenantSession<'_> {
         &self.stream.events
     }
 
+    /// Whether the session crashed and awaits [`recover`]: `cut`, `crash`
+    /// and `leave` require an up session, `recover` a down one.
+    ///
+    /// [`recover`]: TenantSession::recover
+    pub fn is_down(&self) -> bool {
+        matches!(self.state, SessState::Down(..))
+    }
+
     /// Cut one checkpoint: encode (preemptible, outside every lock), then
     /// commit + enqueue the L3 drain in one critical section. Blocks while
     /// the write-behind queue is full — transport back-pressure reaches
@@ -689,11 +457,11 @@ impl TenantSession<'_> {
         let srv = self.server;
 
         // Phase 1 — encode, no locks held. Snapshots are pure functions of
-        // (persona, round); the DRR pool's output is bit-identical to the
+        // (persona, round); the pool's output is bit-identical to the
         // serial encoder's, so the payload is mode-invariant.
         let cut = build_cut(&srv.fleet, &srv.cfg, &self.core, || {
             let (prev, dirty) = self.core.delta_inputs(&srv.fleet);
-            srv.encoder.encode(self.core.job, prev, dirty, srv.cfg.pa)
+            srv.pool.encode(self.core.job, prev, dirty, srv.cfg.pa)
         });
 
         // Phase 2 — commit under back-pressure: wait for queue room, then
@@ -720,6 +488,7 @@ impl TenantSession<'_> {
             o.wire_bytes.add(c.wire);
             o.block_us
                 .observe(((srv.clock.now() - t0) * 1e6).round() as u64);
+            o.mirror_pool(&mut sh.pool_seen, srv.pool.stats());
         }
         Ok(self.stream.events.last().expect("cut recorded a commit"))
     }
@@ -991,26 +760,6 @@ mod tests {
             sim.diff(&wall).join("\n")
         );
         assert_eq!(wall.violations, 0);
-    }
-
-    #[test]
-    fn drr_encoder_is_bit_identical_to_serial() {
-        use aic_delta::pa::pa_encode;
-        let fleet = SharedDatasetFleet::heterogeneous(vec![12, 5], 30, 4);
-        let enc = DrrEncoder::spawn(4, 16 << 10, None);
-        for (persona, round) in [(0usize, 1u64), (1, 1), (0, 2)] {
-            let prev = fleet.snapshot(persona, round - 1);
-            let dirty = fleet.dirty(persona, round);
-            let params = PaParams::default();
-            let (serial_file, serial_report) = pa_encode(&prev, &dirty, &params);
-            let (file, report) =
-                enc.encode(persona as u64 + 1, prev.clone(), dirty.clone(), params);
-            assert_eq!(file, serial_file);
-            assert_eq!(report, serial_report);
-        }
-        let (shards, _, rounds) = enc.stats();
-        assert!(shards > 0);
-        assert!(rounds > 0);
     }
 
     #[test]

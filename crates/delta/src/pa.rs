@@ -7,6 +7,12 @@
 //! or whose delta would not actually be smaller — are stored raw. Being
 //! per-page is what lets AIC's predictor estimate the compression cost at
 //! page granularity and lets decompression touch only the pages it needs.
+//!
+//! It also makes the encode shardable: [`plan_shards`] cuts the dirty set
+//! into contiguous runs, [`pa_encode_shard_scratch`] encodes one run, and
+//! [`pa_assemble`] concatenates the runs in order into exactly the serial
+//! [`pa_encode`] output. This crate spawns no threads; the compressor pool
+//! that runs shards in parallel lives in `aic_ckpt::concurrent`.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -343,21 +349,37 @@ impl PaDeltaFile {
 /// beat the raw page is discarded in favour of the raw bytes, so
 /// `ds ≤ incremental checkpoint size + per-page overhead` always holds.
 ///
-/// Every PA path — this serial encode, [`pa_encode_cached`], the sharded
-/// and pooled variants — runs the same per-page decisions through the one
-/// shard encoder ([`pa_encode_shard_cached`]), which is what makes their
-/// outputs bit-identical by construction.
+/// Every PA path — this serial encode, [`pa_encode_cached`] and the
+/// sharded encode of a compressor pool — runs the same per-page decisions
+/// through the one shard encoder ([`pa_encode_shard_scratch`]), which is
+/// what makes their outputs bit-identical by construction.
 pub fn pa_encode(
     prev: &Snapshot,
     dirty: &Snapshot,
     params: &PaParams,
 ) -> (PaDeltaFile, EncodeReport) {
+    encode_whole(prev, dirty, params, None)
+}
+
+/// The serial encode: all of `dirty` as one shard, with throwaway scratch.
+fn encode_whole(
+    prev: &Snapshot,
+    dirty: &Snapshot,
+    params: &PaParams,
+    cache: Option<&SourceIndexCache>,
+) -> (PaDeltaFile, EncodeReport) {
     let shard = Shard {
         start: 0,
         end: dirty.len(),
     };
-    pa_assemble(std::iter::once(pa_encode_shard_cached(
-        prev, dirty, shard, params, None,
+    let mut scratch = ShardScratch::new();
+    pa_assemble(std::iter::once(pa_encode_shard_scratch(
+        prev,
+        dirty,
+        shard,
+        params,
+        cache,
+        &mut scratch,
     )))
 }
 
@@ -527,22 +549,6 @@ pub fn plan_shards(n_pages: usize, workers: usize) -> Vec<Shard> {
     shards
 }
 
-/// Encode one shard: the dirty pages at positions `[shard.start, shard.end)`
-/// of `dirty`'s iteration order, each against its previous version in `prev`.
-///
-/// Same per-page decisions as [`pa_encode`] restricted to the shard, so
-/// concatenating shard outputs in shard order reproduces the serial encode
-/// byte for byte (see [`pa_assemble`]). Alias for
-/// [`pa_encode_shard_cached`] without a cache.
-pub fn pa_encode_shard(
-    prev: &Snapshot,
-    dirty: &Snapshot,
-    shard: Shard,
-    params: &PaParams,
-) -> (Vec<PageRecord>, EncodeReport) {
-    pa_encode_shard_cached(prev, dirty, shard, params, None)
-}
-
 /// A record whose payload range in the shard arena is known but whose
 /// `Bytes` cannot exist until the arena is frozen.
 struct PendingRec {
@@ -570,20 +576,13 @@ impl ShardScratch {
     }
 }
 
-/// [`pa_encode_shard_scratch`] with throwaway scratch buffers — the
-/// convenience form for one-shot callers. Hot paths (pool workers, the
-/// parallel encode) hold a [`ShardScratch`] per thread instead.
-pub fn pa_encode_shard_cached(
-    prev: &Snapshot,
-    dirty: &Snapshot,
-    shard: Shard,
-    params: &PaParams,
-    cache: Option<&SourceIndexCache>,
-) -> (Vec<PageRecord>, EncodeReport) {
-    pa_encode_shard_scratch(prev, dirty, shard, params, cache, &mut ShardScratch::new())
-}
-
-/// The allocation-free shard encoder behind every PA path.
+/// Encode one shard: the dirty pages at positions `[shard.start, shard.end)`
+/// of `dirty`'s iteration order, each against its previous version in
+/// `prev` — the allocation-free shard encoder behind every PA path.
+///
+/// Same per-page decisions as [`pa_encode`] restricted to the shard, so
+/// concatenating shard outputs in shard order reproduces the serial encode
+/// byte for byte (see [`pa_assemble`]).
 ///
 /// All page payloads — delta instruction streams and raw fallbacks — are
 /// emitted into **one** `BytesMut` arena, frozen once per shard; each
@@ -764,17 +763,7 @@ pub fn pa_encode_cached(
     params: &PaParams,
     cache: &SourceIndexCache,
 ) -> (PaDeltaFile, EncodeReport) {
-    let shard = Shard {
-        start: 0,
-        end: dirty.len(),
-    };
-    pa_assemble(std::iter::once(pa_encode_shard_cached(
-        prev,
-        dirty,
-        shard,
-        params,
-        Some(cache),
-    )))
+    encode_whole(prev, dirty, params, Some(cache))
 }
 
 /// Reassemble shard outputs — supplied in shard order — into the final
@@ -790,112 +779,6 @@ pub fn pa_assemble(
     }
     total.delta_bytes = file.wire_len();
     (file, total)
-}
-
-/// Parallel page-aligned encode: identical output to [`pa_encode`], with
-/// shard compression fanned out over `workers` OS threads.
-///
-/// The paper dedicates a *single* spare core to compression; this is the
-/// natural multi-core extension (its Section VI hints at "more aggressive
-/// compression" being affordable) — page-aligned differencing is
-/// embarrassingly parallel precisely because every page is encoded against
-/// only its own previous version. Work is partitioned by [`plan_shards`]
-/// and threads pull shards from a shared cursor (cheap work stealing), but
-/// results are written back by shard position, so the output order is the
-/// page order regardless of completion order.
-pub fn pa_encode_parallel_with(
-    prev: &Snapshot,
-    dirty: &Snapshot,
-    params: &PaParams,
-    workers: usize,
-) -> (PaDeltaFile, EncodeReport) {
-    pa_encode_parallel_cached(prev, dirty, params, workers, None)
-}
-
-/// How many encode threads and shards a parallel encode of `n_pages` under
-/// a requested worker count will *actually* use.
-///
-/// The thread count is the requested `workers` clamped to the shard count
-/// (no idle threads) and to the machine's available parallelism — spawning
-/// eight encode threads on one core buys nothing but context-switch and
-/// contention overhead, which is exactly the anti-scaling the pool sweep
-/// used to show. The shard plan itself stays keyed by the *requested*
-/// worker count so outputs and deterministic obs counters (`pool.shards`)
-/// are machine-independent; only the thread fan-out adapts to the host.
-///
-/// Returns `(threads, shards)`. `threads == 1` means the caller should
-/// encode inline (single full-range shard) rather than spawn at all.
-pub fn effective_parallel_plan(n_pages: usize, workers: usize) -> (usize, usize) {
-    let shards = plan_shards(n_pages, workers).len();
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = workers.max(1).min(shards.max(1)).min(hw);
-    if threads <= 1 {
-        (1, 1)
-    } else {
-        (threads, shards)
-    }
-}
-
-/// [`pa_encode_parallel_with`] with an optional shared [`SourceIndexCache`]
-/// consulted (and warmed) by every worker thread.
-pub fn pa_encode_parallel_cached(
-    prev: &Snapshot,
-    dirty: &Snapshot,
-    params: &PaParams,
-    workers: usize,
-    cache: Option<&SourceIndexCache>,
-) -> (PaDeltaFile, EncodeReport) {
-    let (threads, _) = effective_parallel_plan(dirty.len(), workers);
-    if threads <= 1 {
-        // One effective thread: skip thread spawn, shared slots, and shard
-        // bookkeeping entirely. Shard concatenation is associative, so one
-        // full-range shard produces bit-identical output to any shard plan.
-        let shard = Shard {
-            start: 0,
-            end: dirty.len(),
-        };
-        return pa_assemble(std::iter::once(pa_encode_shard_cached(
-            prev, dirty, shard, params, cache,
-        )));
-    }
-
-    type ShardSlot = Mutex<Option<(Vec<PageRecord>, EncodeReport)>>;
-    let shards = plan_shards(dirty.len(), workers);
-    let cursor = AtomicUsize::new(0);
-    // Per-slot mutexes: a worker finishing shard i touches only slot i, so
-    // result write-back never contends with other workers (the old single
-    // Mutex<Vec<..>> serialized every write-back behind one lock).
-    let slots: Vec<ShardSlot> = (0..shards.len()).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = ShardScratch::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&shard) = shards.get(i) else { break };
-                    let part =
-                        pa_encode_shard_scratch(prev, dirty, shard, params, cache, &mut scratch);
-                    *slots[i].lock().unwrap() = Some(part);
-                }
-            });
-        }
-    });
-
-    let parts = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("every shard encoded"));
-    pa_assemble(parts)
-}
-
-/// [`pa_encode_parallel_with`] using all available CPUs.
-pub fn pa_encode_parallel(
-    prev: &Snapshot,
-    dirty: &Snapshot,
-    params: &PaParams,
-) -> (PaDeltaFile, EncodeReport) {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    pa_encode_parallel_with(prev, dirty, params, workers)
 }
 
 /// Whole-file (non-page-aligned) delta: the stand-in for stock **Xdelta3**.
@@ -968,6 +851,28 @@ mod tests {
             *b = rng.gen();
         }
         Page::from_bytes(&bytes)
+    }
+
+    /// A compressor pool's encode without the threads: `plan_shards` at
+    /// `workers`, every shard through `pa_encode_shard_scratch` — last
+    /// shard first, as out-of-order workers may finish — and `pa_assemble`
+    /// in shard order.
+    fn sharded(
+        prev: &Snapshot,
+        dirty: &Snapshot,
+        workers: usize,
+        cache: Option<&SourceIndexCache>,
+    ) -> (PaDeltaFile, EncodeReport) {
+        let mut scratch = ShardScratch::new();
+        let mut parts: Vec<_> = plan_shards(dirty.len(), workers)
+            .into_iter()
+            .rev()
+            .map(|s| {
+                pa_encode_shard_scratch(prev, dirty, s, &PaParams::default(), cache, &mut scratch)
+            })
+            .collect();
+        parts.reverse();
+        pa_assemble(parts)
     }
 
     #[test]
@@ -1076,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_encode_is_bit_identical_to_serial() {
+    fn sharded_encode_is_bit_identical_to_serial_across_widths() {
         let mut rng = StdRng::seed_from_u64(44);
         let pages: Vec<Page> = (0..32).map(|_| random_page(&mut rng)).collect();
         let prev = Snapshot::from_pages(
@@ -1094,15 +999,16 @@ mod tests {
 
         let (serial, serial_report) = pa_encode(&prev, &dirty, &PaParams::default());
         for workers in [1, 2, 4, 8] {
-            let (parallel, parallel_report) =
-                pa_encode_parallel_with(&prev, &dirty, &PaParams::default(), workers);
-            assert_eq!(serial, parallel, "workers={workers}");
-            assert_eq!(serial_report, parallel_report, "workers={workers}");
-            assert_eq!(pa_decode(&prev, &parallel).unwrap(), dirty);
+            assert_eq!(
+                plan_shards(dirty.len(), workers).len() > 1,
+                workers > 1,
+                "workers={workers}"
+            );
+            let (file, report) = sharded(&prev, &dirty, workers, None);
+            assert_eq!(serial, file, "workers={workers}");
+            assert_eq!(serial_report, report, "workers={workers}");
+            assert_eq!(pa_decode(&prev, &file).unwrap(), dirty);
         }
-        let (auto, auto_report) = pa_encode_parallel(&prev, &dirty, &PaParams::default());
-        assert_eq!(serial, auto);
-        assert_eq!(serial_report, auto_report);
     }
 
     #[test]
@@ -1147,34 +1053,6 @@ mod tests {
                 end: 1000
             }]
         );
-    }
-
-    #[test]
-    fn sharded_encode_assembles_to_serial_output() {
-        let mut rng = StdRng::seed_from_u64(45);
-        let pages: Vec<Page> = (0..24).map(|_| random_page(&mut rng)).collect();
-        let prev = Snapshot::from_pages(
-            pages
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, p)| (i as u64, p)),
-        );
-        let mut dirty = Snapshot::new();
-        for (i, page) in pages.iter().enumerate() {
-            dirty.insert(i as u64, mutated(page, 0, 32 + i * 7, &mut rng));
-        }
-
-        let (serial, serial_report) = pa_encode(&prev, &dirty, &PaParams::default());
-        let shards = plan_shards(dirty.len(), 4);
-        assert!(shards.len() > 1);
-        let parts: Vec<_> = shards
-            .iter()
-            .map(|&s| pa_encode_shard(&prev, &dirty, s, &PaParams::default()))
-            .collect();
-        let (assembled, assembled_report) = pa_assemble(parts);
-        assert_eq!(serial, assembled);
-        assert_eq!(serial_report, assembled_report);
     }
 
     #[test]
@@ -1298,7 +1176,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cached_encode_matches_serial_across_widths() {
+    fn cached_sharded_encode_matches_serial_across_widths() {
         let mut rng = StdRng::seed_from_u64(63);
         let pages: Vec<Page> = (0..40).map(|_| random_page(&mut rng)).collect();
         let prev = Snapshot::from_pages(
@@ -1323,15 +1201,9 @@ mod tests {
         for workers in [1, 2, 4, 8] {
             let cache = SourceIndexCache::new();
             for round in 0..2 {
-                let (parallel, parallel_report) = pa_encode_parallel_cached(
-                    &prev,
-                    &dirty,
-                    &PaParams::default(),
-                    workers,
-                    Some(&cache),
-                );
-                assert_eq!(serial, parallel, "workers={workers} round={round}");
-                assert_eq!(serial_report, parallel_report);
+                let (file, report) = sharded(&prev, &dirty, workers, Some(&cache));
+                assert_eq!(serial, file, "workers={workers} round={round}");
+                assert_eq!(serial_report, report);
             }
             // Round two ran entirely from cache (identical dirty set).
             assert_eq!(cache.hits(), cache.misses(), "workers={workers}");
@@ -1357,8 +1229,14 @@ mod tests {
         dirty.insert(2, mutated(&pages[2], 2000, 2100, &mut rng));
 
         let shard = Shard { start: 0, end: 3 };
-        let (records, report) =
-            pa_encode_shard_cached(&prev, &dirty, shard, &PaParams::default(), None);
+        let (records, report) = pa_encode_shard_scratch(
+            &prev,
+            &dirty,
+            shard,
+            &PaParams::default(),
+            None,
+            &mut ShardScratch::new(),
+        );
         assert!(matches!(records[0], PageRecord::Delta { .. }));
         assert!(matches!(records[1], PageRecord::Raw { .. }));
         assert!(matches!(records[2], PageRecord::Delta { .. }));
@@ -1401,8 +1279,9 @@ mod tests {
     #[test]
     fn probe_bail_is_identical_across_every_encode_path() {
         // The bail verdict is a pure function of (source, target,
-        // block_size), so serial/cached/parallel at any width must produce
-        // the same bytes AND the same report for a bailing mix.
+        // block_size), so serial, cached and sharded at any width, cached
+        // or not, must produce the same bytes AND the same report for a
+        // bailing mix.
         let mut rng = StdRng::seed_from_u64(71);
         let pages: Vec<Page> = (0..20).map(|_| random_page(&mut rng)).collect();
         let prev = Snapshot::from_pages(
@@ -1428,15 +1307,11 @@ mod tests {
         assert_eq!(serial, cached);
         assert_eq!(serial_report, cached_report);
         for workers in [1, 2, 4, 8] {
-            let (par, par_report) = pa_encode_parallel_cached(
-                &prev,
-                &dirty,
-                &PaParams::default(),
-                workers,
-                Some(&cache),
-            );
-            assert_eq!(serial, par, "workers={workers}");
-            assert_eq!(serial_report, par_report, "workers={workers}");
+            for cache in [None, Some(&cache)] {
+                let (file, report) = sharded(&prev, &dirty, workers, cache);
+                assert_eq!(serial, file, "workers={workers}");
+                assert_eq!(serial_report, report, "workers={workers}");
+            }
         }
         assert_eq!(pa_decode(&prev, &serial).unwrap(), dirty);
     }
@@ -1468,26 +1343,6 @@ mod tests {
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.heap_bytes(), 0, "all heap accounting returned");
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn effective_plan_clamps_threads_and_preserves_shard_plan() {
-        for n_pages in [0usize, 1, 8, 64, 1024] {
-            for workers in [1usize, 2, 4, 8] {
-                let (threads, shards) = effective_parallel_plan(n_pages, workers);
-                assert!(threads >= 1);
-                assert!(threads <= workers.max(1));
-                let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-                assert!(threads <= hw.max(1));
-                if threads == 1 {
-                    assert_eq!(shards, 1, "inline path is a single shard");
-                } else {
-                    // Shard plan stays keyed by the REQUESTED worker count
-                    // so outputs and obs counters are machine-independent.
-                    assert_eq!(shards, plan_shards(n_pages, workers).len());
-                }
-            }
-        }
     }
 
     #[test]
