@@ -7,12 +7,11 @@
 //! The paper finds L2L3 stays profitable for SF up to ~3–15 depending on
 //! system size.
 //!
-//! The stretched costs come from
-//! [`aic_ckpt::transport::sf_stretched_costs`] — each transfer segment is
-//! drained through the same discrete-event [`NetworkTransport`] the engine
-//! commits through, under the same [`SharingModel`], rather than from a
-//! standalone `c1 + SF·(ck − c1)` formula. The closed form is kept as a
-//! cross-check in `aic_model::sharing`.
+//! The stretched costs are the closed form
+//! [`LevelCosts::with_sharing_factor`](aic_model::params::LevelCosts::with_sharing_factor),
+//! `c1 + SF·(ck − c1)`. The discrete-event [`NetworkTransport`] the engine
+//! commits through shares its link by the same [`SharingModel`], so a
+//! lone transfer there drains in exactly `SF ×` its dedicated time.
 //!
 //! [`NetworkTransport`]: aic_ckpt::transport::NetworkTransport
 //! [`SharingModel`]: aic_model::sharing::SharingModel
@@ -64,7 +63,7 @@ pub fn run(sizes: &[f64], sfs: &[f64]) -> Vec<Fig7Row> {
             let by_sf = sfs
                 .iter()
                 .map(|&sf| {
-                    let costs = aic_ckpt::transport::sf_stretched_costs(&base_costs, sf);
+                    let costs = base_costs.with_sharing_factor(sf);
                     let w_lo = costs.transfer(3).max(60.0);
                     let net2 = golden_minimize(
                         |w| net2_at(ConcurrentModel::L2L3, w, &costs, &rates),

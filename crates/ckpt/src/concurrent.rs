@@ -22,11 +22,13 @@
 //! the next tenant is served. A drained queue forfeits its deficit. The
 //! fleet server, the simulated service and the engine (on more than one
 //! core) all encode here; `CompressorPool::spawn(1, ..)` is the paper's
-//! single dedicated core: one worker plans exactly one shard per job.
+//! single dedicated core: one worker plans exactly one shard per job. The
+//! scheduler itself is generic over the job handle, so the simulated
+//! service also deals its *virtual* encode cores with it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -122,29 +124,41 @@ type ShardQueue = VecDeque<(usize, Shard)>;
 
 /// One tenant's pending encode work: jobs in submission order, each with
 /// its undealt shards.
-struct TenantQ {
+struct TenantQ<J> {
     deficit: u64,
     credited: bool,
-    jobs: VecDeque<(Arc<Job>, ShardQueue)>,
+    jobs: VecDeque<(J, ShardQueue)>,
 }
 
-/// The deficit-round-robin scheduler, behind the pool's one lock.
-#[derive(Default)]
-struct Sched {
-    /// Round-robin order of tenants with pending shards; front is served.
+/// The deficit-round-robin scheduler over tenant-tagged jobs of handle
+/// type `J`. The pool keeps one behind its lock and deals real shards to
+/// its workers; the simulated service builds one per tick and deals
+/// virtual shards onto its virtual cores.
+pub(crate) struct Sched<J> {
+    /// Round-robin order of tenants with pending jobs; front is served.
     rr: VecDeque<u64>,
-    queues: HashMap<u64, TenantQ>,
+    queues: HashMap<u64, TenantQ<J>>,
     /// DRR credit rounds so far.
-    rounds: u64,
+    pub(crate) rounds: u64,
     /// Tenants preempted at a shard boundary so far.
-    preemptions: u64,
-    shutdown: bool,
+    pub(crate) preemptions: u64,
 }
 
-impl Sched {
+impl<J> Default for Sched<J> {
+    fn default() -> Self {
+        Sched {
+            rr: VecDeque::new(),
+            queues: HashMap::new(),
+            rounds: 0,
+            preemptions: 0,
+        }
+    }
+}
+
+impl<J: Clone> Sched<J> {
     /// Queue `job`'s shard plan behind `tenant`'s earlier jobs; a tenant
     /// with nothing pending joins the back of the round-robin ring.
-    fn push(&mut self, tenant: u64, job: Arc<Job>, plan: Vec<Shard>) {
+    pub(crate) fn push(&mut self, tenant: u64, job: J, plan: Vec<Shard>) {
         let q = self.queues.entry(tenant).or_insert_with(|| TenantQ {
             deficit: 0,
             credited: false,
@@ -161,9 +175,10 @@ impl Sched {
     /// The DRR pick, run between every two shards a worker encodes — the
     /// preemption point. The front tenant is credited `quantum` once per
     /// head arrival; if its head shard exceeds the remaining deficit it is
-    /// preempted (moved to the back, credit cleared). A drained queue
-    /// forfeits its deficit. `None` when no tenant has a pending shard.
-    fn pick(&mut self, quantum: u64) -> Option<(Arc<Job>, usize, Shard)> {
+    /// preempted (moved to the back, credit cleared). A job planned with
+    /// no shards is handed out once as `(job, None)` and spends nothing. A
+    /// drained queue forfeits its deficit. `None` when no job is pending.
+    pub(crate) fn pick(&mut self, quantum: u64) -> Option<(J, Option<(usize, Shard)>)> {
         loop {
             let tid = *self.rr.front()?;
             let q = self.queues.get_mut(&tid).expect("queued tenant");
@@ -177,17 +192,19 @@ impl Sched {
                 self.rr.pop_front();
                 continue;
             };
-            let &(slot, shard) = shards.front().expect("job with shards");
-            let bytes = shard.len() as u64 * PAGE_SIZE as u64;
-            if bytes > q.deficit {
-                self.preemptions += 1;
-                q.credited = false;
-                self.rr.rotate_left(1);
-                continue;
+            if let Some(&(_, shard)) = shards.front() {
+                let bytes = shard.len() as u64 * PAGE_SIZE as u64;
+                if bytes > q.deficit {
+                    self.preemptions += 1;
+                    q.credited = false;
+                    self.rr.rotate_left(1);
+                    continue;
+                }
+                q.deficit -= bytes;
             }
-            q.deficit -= bytes;
-            shards.pop_front();
-            let job = Arc::clone(job);
+            // `None` for a job planned with no shards: it is dealt once.
+            let shard = shards.pop_front();
+            let job = job.clone();
             if shards.is_empty() {
                 q.jobs.pop_front();
                 if q.jobs.is_empty() {
@@ -195,14 +212,24 @@ impl Sched {
                     self.rr.pop_front();
                 }
             }
-            return Some((job, slot, shard));
+            return Some((job, shard));
         }
     }
 }
 
+/// Why a pool lock can fail: a pool thread panicked while holding it.
+const POISONED: &str = "a pool thread panicked holding the scheduler lock";
+
+/// The scheduler and the shutdown flag, behind the pool's one lock.
+#[derive(Default)]
+struct Queue {
+    sched: Sched<Arc<Job>>,
+    shutdown: bool,
+}
+
 /// What the pool's workers share.
 struct Shared {
-    sched: Mutex<Sched>,
+    queue: Mutex<Queue>,
     work: Condvar,
     quantum: u64,
     /// Cross-job source-index cache shared by every worker. A hit is only
@@ -274,7 +301,7 @@ impl CompressorPool {
         let workers = workers.max(1);
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         let shared = Arc::new(Shared {
-            sched: Mutex::new(Sched::default()),
+            queue: Mutex::new(Queue::default()),
             work: Condvar::new(),
             quantum: quantum_bytes.max(1),
             cache: Arc::new(SourceIndexCache::new()),
@@ -317,15 +344,10 @@ impl CompressorPool {
             o.shards.add(plan.len() as u64);
         }
         self.refresh_gauges();
-        if plan.is_empty() {
-            // Empty snapshot: nothing to compress.
-            let _ = tx.send(pa_assemble(std::iter::empty()));
-        } else {
-            let job = Job::new(prev, dirty, params, plan.len(), tx);
-            let mut sched = self.shared.sched.lock().unwrap();
-            sched.push(tenant, job, plan);
-            self.shared.work.notify_all();
-        }
+        let job = Job::new(prev, dirty, params, plan.len(), tx);
+        let mut queue = self.shared.queue.lock().expect(POISONED);
+        queue.sched.push(tenant, job, plan);
+        self.shared.work.notify_all();
         Pending { pool: self, rx }
     }
 
@@ -359,7 +381,7 @@ impl CompressorPool {
 
     /// Shards encoded, preemptions and DRR rounds so far.
     pub fn stats(&self) -> PoolStats {
-        let sched = self.shared.sched.lock().unwrap();
+        let sched = &self.shared.queue.lock().expect(POISONED).sched;
         PoolStats {
             shards: self.shared.shards.load(Ordering::Relaxed),
             preemptions: sched.preemptions,
@@ -390,7 +412,9 @@ impl CompressorPool {
 
 impl Drop for CompressorPool {
     fn drop(&mut self) {
-        self.shared.sched.lock().unwrap().shutdown = true;
+        // Drop must not panic: a poisoned lock still takes the flag.
+        let queue = self.shared.queue.lock();
+        queue.unwrap_or_else(PoisonError::into_inner).shutdown = true;
         self.shared.work.notify_all();
         for h in self.threads.drain(..) {
             let _ = h.join();
@@ -399,45 +423,49 @@ impl Drop for CompressorPool {
 }
 
 /// A worker: pick a shard under the scheduler lock, encode it outside the
-/// lock, and assemble the job if this was its last shard. Exits once the
-/// pool is shutting down and no shard is left.
+/// lock, and assemble the job if this was its last shard (a job with no
+/// shards is assembled at once). Exits once the pool is shutting down and
+/// no job is left.
 fn worker_loop(shared: &Shared) {
     let mut scratch = ShardScratch::new();
     let mut shard_ns = shared.shard_ns.clone().map(HistogramShard::new);
     loop {
-        let (job, slot, shard) = {
-            let mut sched = shared.sched.lock().unwrap();
+        let (job, shard) = {
+            let mut queue = shared.queue.lock().expect(POISONED);
             loop {
-                if let Some(picked) = sched.pick(shared.quantum) {
+                if let Some(picked) = queue.sched.pick(shared.quantum) {
                     break picked;
                 }
-                if sched.shutdown {
+                if queue.shutdown {
                     return;
                 }
-                sched = shared.work.wait(sched).unwrap();
+                queue = shared.work.wait(queue).expect(POISONED);
             }
         };
-        let t0 = shard_ns.is_some().then(Instant::now);
-        let part = pa_encode_shard_scratch(
-            &job.prev,
-            &job.dirty,
-            shard,
-            &job.params,
-            Some(&shared.cache),
-            &mut scratch,
-        );
-        if let (Some(h), Some(t0)) = (&mut shard_ns, t0) {
-            h.observe(t0.elapsed().as_nanos() as u64);
+        if let Some((slot, shard)) = shard {
+            let t0 = shard_ns.is_some().then(Instant::now);
+            let part = pa_encode_shard_scratch(
+                &job.prev,
+                &job.dirty,
+                shard,
+                &job.params,
+                Some(&shared.cache),
+                &mut scratch,
+            );
+            if let (Some(h), Some(t0)) = (&mut shard_ns, t0) {
+                h.observe(t0.elapsed().as_nanos() as u64);
+            }
+            shared.shards.fetch_add(1, Ordering::Relaxed);
+            *job.parts[slot].lock().unwrap() = Some(part);
+            if job.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+                continue;
+            }
         }
-        shared.shards.fetch_add(1, Ordering::Relaxed);
-        *job.parts[slot].lock().unwrap() = Some(part);
-        if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let parts = job
-                .parts
-                .iter()
-                .map(|p| p.lock().unwrap().take().expect("shard encoded"));
-            let _ = job.tx.send(pa_assemble(parts));
-        }
+        let parts = job
+            .parts
+            .iter()
+            .map(|p| p.lock().unwrap().take().expect("shard encoded"));
+        let _ = job.tx.send(pa_assemble(parts));
     }
 }
 
@@ -490,7 +518,7 @@ mod tests {
         // Driven without threads, like a worker would: a heavy tenant with
         // 8 queued shards, a light one with 1, quantum = 2 shards.
         const SHARD_PAGES: usize = 4;
-        let shard_bytes = (SHARD_PAGES * PAGE_SIZE) as u64;
+        let quantum = 2 * (SHARD_PAGES * PAGE_SIZE) as u64;
         let plan = |n: usize| -> Vec<Shard> {
             (0..n)
                 .map(|i| Shard {
@@ -499,30 +527,22 @@ mod tests {
                 })
                 .collect()
         };
-        let job = |n: usize| {
-            let (tx, _) = bounded(1);
-            Job::new(Snapshot::new(), Snapshot::new(), PaParams::default(), n, tx)
-        };
-        let (heavy, light, light2) = (job(8), job(1), job(3));
         let mut s = Sched::default();
-        s.push(1, Arc::clone(&heavy), plan(8));
-        s.push(2, Arc::clone(&light), plan(1));
-        let mut order = Vec::new();
-        let mut take = |s: &mut Sched, n: usize| {
-            for _ in 0..n {
-                let (j, slot, _) = s.pick(2 * shard_bytes).expect("a shard is pending");
-                let name = [(&heavy, "H"), (&light, "L"), (&light2, "M")]
-                    .into_iter()
-                    .find(|(k, _)| Arc::ptr_eq(k, &j))
-                    .map(|(_, name)| name)
-                    .unwrap();
-                order.push(format!("{name}{slot}"));
-            }
+        s.push(1, "H", plan(8));
+        s.push(2, "L", plan(1));
+        let take = |s: &mut Sched<&str>, n: usize| -> Vec<String> {
+            (0..n)
+                .map(|_| {
+                    let (name, shard) = s.pick(quantum).expect("a shard is pending");
+                    let (slot, _) = shard.expect("every job here has shards");
+                    format!("{name}{slot}")
+                })
+                .collect()
         };
 
         // Heavy spends its quantum on two shards, is preempted, and the
         // light tenant is served before heavy's third shard.
-        take(&mut s, 3);
+        let mut order = take(&mut s, 3);
         assert_eq!(s.preemptions, 1);
         assert_eq!(s.rounds, 2);
         assert!(!s.queues.contains_key(&2), "drained queue is dropped");
@@ -530,15 +550,30 @@ mod tests {
         // The light tenant left one shard of credit unspent when it
         // drained; it forfeited that, so its next 3-shard job is dealt two
         // shards per round (with banked credit it would take all three).
-        s.push(2, Arc::clone(&light2), plan(3));
-        take(&mut s, 9);
-        assert!(s.pick(2 * shard_bytes).is_none(), "everything dealt");
+        s.push(2, "M", plan(3));
+        order.extend(take(&mut s, 9));
+        assert!(s.pick(quantum).is_none(), "everything dealt");
         assert_eq!(
             order,
             ["H0", "H1", "L0", "H2", "H3", "M0", "M1", "H4", "H5", "M2", "H6", "H7"]
         );
         assert_eq!(s.preemptions, 4);
         assert_eq!(s.rounds, 7);
+        assert!(s.rr.is_empty() && s.queues.is_empty());
+
+        // A job planned with no shards is handed out once, as `None`. It
+        // takes one credit round and spends none of it, so the same
+        // tenant's next job still gets both shards of that credit; then
+        // the ring moves on.
+        s.push(3, "Z", Vec::new());
+        s.push(3, "Y", plan(2));
+        s.push(4, "X", plan(1));
+        assert_eq!(s.pick(quantum), Some(("Z", None)));
+        assert_eq!(s.rounds, 8);
+        assert_eq!(take(&mut s, 3), ["Y0", "Y1", "X0"]);
+        assert!(s.pick(quantum).is_none());
+        assert_eq!(s.preemptions, 4);
+        assert_eq!(s.rounds, 9);
         assert!(s.rr.is_empty() && s.queues.is_empty());
     }
 

@@ -37,7 +37,7 @@ use crate::concurrent::{CompressorPool, SOLO_QUANTUM};
 use crate::format::{CheckpointFile, CheckpointKind};
 use crate::harness::{FailureSchedule, FaultEvent};
 use crate::recovery::{RecoveryError, StorageHierarchy};
-use crate::transport::{LinkConfig, NetworkTransport, TransportEvent, WriteBehindConfig};
+use crate::transport::{LinkConfig, NetworkTransport, WriteBehindConfig};
 
 /// Errors from the engine's restore path (`EngineReport::restore_latest`).
 #[derive(Debug, Clone, PartialEq)]
@@ -522,7 +522,7 @@ pub fn run_engine_with_faults(
         if let Some(t) = transport.as_mut() {
             let events = t.advance_to(now + stall_offset);
             let storage = config.storage.as_ref().expect("asserted with transport");
-            apply_transport_events(storage, &events)?;
+            lock_storage(storage)?.apply_acks(&events)?;
         }
 
         // Inject the next scheduled failure once its time has passed.
@@ -790,7 +790,7 @@ pub fn run_engine_with_faults(
                         let out = t.enqueue(file.seq, wire, t_cut);
                         stall_offset += out.stalled_for;
                         blocking_overhead += out.stalled_for;
-                        apply_transport_events(storage, &out.events)?;
+                        lock_storage(storage)?.apply_acks(&out.events)?;
                         // `eta_of` counts from the transport clock, which
                         // sits `stalled_for` past the cut after a
                         // back-pressure wait.
@@ -934,7 +934,7 @@ pub fn run_engine_with_faults(
     if let Some(t) = transport.as_mut() {
         let (events, _) = t.quiesce();
         let storage = config.storage.as_ref().expect("asserted with transport");
-        apply_transport_events(storage, &events)?;
+        lock_storage(storage)?.apply_acks(&events)?;
     }
 
     let net2 = score_net2(&records, &initial_params, &config.rates, base_time);
@@ -956,29 +956,6 @@ pub fn run_engine_with_faults(
         chain,
     };
     Ok((report, fault_events))
-}
-
-/// Apply transport completions to the storage hierarchy: every `Acked`
-/// drain materializes its pending L3 object (and an acked full anchor runs
-/// its deferred L3 truncation). Acks for sequences the hierarchy no longer
-/// tracks — superseded by an anchored ack, or dropped by an f3 — are
-/// ignored: the transfer finished, but nothing needs its bytes anymore.
-/// `GaveUp` transfers (retry budget exhausted) stay pending: the interval
-/// remains locally durable, and the remote frontier simply stops advancing
-/// past it.
-fn apply_transport_events(
-    storage: &Arc<Mutex<StorageHierarchy>>,
-    events: &[TransportEvent],
-) -> Result<(), RecoveryError> {
-    for ev in events {
-        if let TransportEvent::Acked { seq, .. } = ev {
-            let mut hier = lock_storage(storage)?;
-            if hier.pending_remote_seqs().binary_search(seq).is_ok() {
-                hier.ack_remote(*seq)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Lock the shared storage hierarchy, converting a poisoned mutex (a

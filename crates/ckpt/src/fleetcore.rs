@@ -343,25 +343,11 @@ impl FleetCore {
         }
     }
 
-    /// Land the acks among `events`: each lands its pending L3 drain. Acks
-    /// for drains a crash, a departure or an anchor dropped are stale and
-    /// skipped.
-    fn apply_acks(&mut self, events: &[TransportEvent]) -> Result<(), RecoveryError> {
-        for ev in events {
-            if let TransportEvent::Acked { seq, .. } = ev {
-                if self.hier.pending_remote_seqs().binary_search(seq).is_ok() {
-                    self.hier.ack_remote(*seq)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Advance the transport to `now` and land the acks that fired. The
     /// events are returned for the driver's own accounting.
     pub fn land_acks(&mut self, now: f64) -> Result<Vec<TransportEvent>, RecoveryError> {
         let events = self.transport.advance_to(now);
-        self.apply_acks(&events)?;
+        self.hier.apply_acks(&events)?;
         Ok(events)
     }
 
@@ -369,7 +355,7 @@ impl FleetCore {
     /// time the link went idle.
     pub fn quiesce(&mut self) -> Result<(Vec<TransportEvent>, f64), RecoveryError> {
         let (events, idle_at) = self.transport.quiesce();
-        self.apply_acks(&events)?;
+        self.hier.apply_acks(&events)?;
         Ok((events, idle_at))
     }
 
@@ -401,7 +387,7 @@ impl FleetCore {
         }
         let c2 = receipt.raid.seconds;
         let out = self.transport.enqueue(seq, wire, at + c2);
-        self.apply_acks(&out.events)?;
+        self.hier.apply_acks(&out.events)?;
         t.calibrate(&cut, &self.solver_cfg);
         Ok(Committed {
             seq,

@@ -37,7 +37,11 @@
 //! *pending*: the serialized payload is parked until the network transport
 //! acknowledges the drain and the engine calls
 //! [`StorageHierarchy::ack_remote`], which appends it to the remote log.
-//! Invariants:
+//! Both commit paths run the same steps: the local legs at commit, the
+//! remote leg and the anchor's L3 truncation at the ack, which a
+//! synchronous [`StorageHierarchy::commit`] simply takes at once. Every
+//! truncation, gap-cut and departure retires records through one step
+//! that marks them dead and drops their dedup references. Invariants:
 //!
 //! * a full anchor truncates the **L1/L2** prefix at commit time, but may
 //!   only truncate the **L3** prefix once its *own* drain is acknowledged —
@@ -52,6 +56,7 @@
 //!   late-draining base slots in before an already-acked successor).
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -61,6 +66,7 @@ use crate::dedup::{is_frame, DedupStats, Frame, LevelDedup};
 use crate::format::{CheckpointFile, CheckpointKind};
 use crate::log::{CheckpointLog, LogError, LogStats, RecordLoc, DEFAULT_SEGMENT_CAPACITY};
 use crate::storage::{BandwidthModel, FlatStore, Raid5Group, Receipt, Store};
+use crate::transport::TransportEvent;
 use aic_delta::strong::wide_filter;
 use aic_memsim::Snapshot;
 use aic_obs::{Counter, Obs};
@@ -226,9 +232,10 @@ struct CommittedEntry {
     l12_live: bool,
 }
 
-/// A write-behind payload parked until its L3 drain acknowledges, plus the
-/// page spans the remote dedup store will split it at when the ack
-/// installs it (empty when dedup is off).
+/// A commit's L3 leg: the serialized payload plus the page spans the remote
+/// dedup store will split it at (empty when dedup is off). A write-behind
+/// commit parks it until its drain acknowledges; a synchronous commit
+/// lands it at once.
 #[derive(Debug, Clone)]
 struct PendingDrain {
     job: u64,
@@ -359,16 +366,11 @@ fn read_resolved<S: Store>(log: &CheckpointLog<S>, seq: u64) -> Option<(Bytes, f
     Some((payload, seconds, read_bytes))
 }
 
-/// Compact one level's log when the auto policy says so. A macro because
-/// the three logs have different backing-store types.
-macro_rules! maybe_compact {
-    ($log:expr, $policy:expr) => {
-        if $policy.auto && $log.garbage_ratio() >= $policy.garbage_threshold {
-            if $log.compact(None).is_ok() {
-                $log.try_reclaim();
-            }
-        }
-    };
+/// Compact one level's log when the auto policy says so.
+fn maybe_compact<S: Store>(log: &mut CheckpointLog<S>, policy: CompactionPolicy) {
+    if policy.auto && log.garbage_ratio() >= policy.garbage_threshold && log.compact(None).is_ok() {
+        log.try_reclaim();
+    }
 }
 
 /// The three-level checkpoint store of one job, each level an append-only
@@ -502,61 +504,11 @@ impl StorageHierarchy {
     /// sequence is rejected as [`RecoveryError::OutOfOrderCommit`] without
     /// touching any level.
     pub fn commit(&mut self, file: &CheckpointFile) -> Result<CommitReceipt, RecoveryError> {
-        self.check_order(file.seq)?;
-        let (payload, spans) = if self.dedup.is_some() {
-            file.to_bytes_with_page_spans()
-        } else {
-            (file.to_bytes(), Vec::new())
-        };
-        let (_, local) = self.local.append(file.seq, file.kind, &payload);
-        let (raid, remote) = match &mut self.dedup {
-            Some(dd) => (
-                append_installed(
-                    &mut self.raid,
-                    &mut dd.raid,
-                    self.obs.as_ref(),
-                    file.seq,
-                    file.kind,
-                    &payload,
-                    &spans,
-                ),
-                append_installed(
-                    &mut self.remote,
-                    &mut dd.remote,
-                    self.obs.as_ref(),
-                    file.seq,
-                    file.kind,
-                    &payload,
-                    &spans,
-                ),
-            ),
-            None => (
-                self.raid.append(file.seq, file.kind, &payload).1,
-                self.remote.append(file.seq, file.kind, &payload).1,
-            ),
-        };
-        let mut receipt = CommitReceipt {
-            local,
-            raid,
-            remote,
-            truncated: 0,
-        };
-        if let Some(obs) = &self.obs {
-            obs.commits.inc();
-            obs.written[0].add(receipt.local.bytes);
-            obs.written[1].add(receipt.raid.bytes);
-            obs.written[2].add(receipt.remote.bytes);
-        }
+        let (drain, mut receipt) = self.stage(file)?;
+        receipt.remote = self.land(file.seq, &drain);
         if file.kind == CheckpointKind::Full {
-            receipt.truncated = self.truncate_before(file.seq, file.job);
+            receipt.truncated = self.truncate_below(file.seq, file.job, 1..=3).0;
         }
-        self.committed.push(CommittedEntry {
-            seq: file.seq,
-            job: file.job,
-            kind: file.kind,
-            l3_durable: true,
-            l12_live: true,
-        });
         Ok(receipt)
     }
 
@@ -574,67 +526,22 @@ impl StorageHierarchy {
         &mut self,
         file: &CheckpointFile,
     ) -> Result<(CommitReceipt, u64), RecoveryError> {
-        self.check_order(file.seq)?;
-        let (payload, spans) = if self.dedup.is_some() {
-            file.to_bytes_with_page_spans()
-        } else {
-            (file.to_bytes(), Vec::new())
-        };
-        // Quote the wire before any install mutates state: what must cross
-        // the network is what the *remote* store does not already hold.
-        // Chunks installed by other acks between quote and drain can only
-        // shrink the real append, so the quote is a conservative overcount.
+        let (drain, mut receipt) = self.stage(file)?;
+        // What must cross the network is what the *remote* store does not
+        // already hold. Chunks installed by other acks between quote and
+        // drain can only shrink the real append, so the quote is a
+        // conservative overcount.
         let wire = match &self.dedup {
-            Some(dd) => dd.remote.quote(&payload, &spans),
-            None => payload.len() as u64,
+            Some(dd) => dd.remote.quote(&drain.payload, &drain.spans),
+            None => drain.payload.len() as u64,
         };
-        let (_, local) = self.local.append(file.seq, file.kind, &payload);
-        let raid = match &mut self.dedup {
-            Some(dd) => append_installed(
-                &mut self.raid,
-                &mut dd.raid,
-                self.obs.as_ref(),
-                file.seq,
-                file.kind,
-                &payload,
-                &spans,
-            ),
-            None => self.raid.append(file.seq, file.kind, &payload).1,
-        };
-        let mut receipt = CommitReceipt {
-            local,
-            raid,
-            remote: Receipt {
-                bytes: 0,
-                seconds: 0.0,
-            },
-            truncated: 0,
-        };
-        self.pending_remote.insert(
-            file.seq,
-            PendingDrain {
-                job: file.job,
-                kind: file.kind,
-                payload,
-                spans,
-            },
-        );
+        self.pending_remote.insert(file.seq, drain);
         if let Some(obs) = &self.obs {
-            obs.commits.inc();
             obs.wb_commits.inc();
-            obs.written[0].add(receipt.local.bytes);
-            obs.written[1].add(receipt.raid.bytes);
         }
         if file.kind == CheckpointKind::Full {
-            receipt.truncated = self.truncate_l12_before(file.seq, file.job);
+            receipt.truncated = self.truncate_below(file.seq, file.job, 1..=2).0;
         }
-        self.committed.push(CommittedEntry {
-            seq: file.seq,
-            job: file.job,
-            kind: file.kind,
-            l3_durable: false,
-            l12_live: true,
-        });
         Ok((receipt, wire))
     }
 
@@ -653,179 +560,231 @@ impl StorageHierarchy {
                 "no pending write-behind object for seq {seq}"
             )));
         };
-        let PendingDrain {
-            job,
-            kind,
+        let remote = self.land(seq, &drain);
+        if let Some(obs) = &self.obs {
+            obs.wb_acks.inc();
+        }
+        let mut truncated = 0;
+        if drain.kind == CheckpointKind::Full {
+            truncated = self.truncate_below(seq, drain.job, 3..=3).0;
+        }
+        Ok(RemoteAck { remote, truncated })
+    }
+
+    /// Land the acks among transport `events`: each acknowledged drain that
+    /// is still pending goes through [`Self::ack_remote`]. Acks for drains a
+    /// crash, a departure or an anchor dropped are stale and skipped: the
+    /// transfer finished, but nothing needs its bytes anymore. `GaveUp`
+    /// transfers stay pending: the interval remains locally durable, and
+    /// the remote frontier stops advancing past it.
+    pub fn apply_acks(&mut self, events: &[TransportEvent]) -> Result<(), RecoveryError> {
+        for ev in events {
+            if let TransportEvent::Acked { seq, .. } = *ev {
+                if self.pending_remote.contains_key(&seq) {
+                    self.ack_remote(seq)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The local legs of every commit: check the order, serialize (with
+    /// page spans under dedup), append L1, append or install L2, and log
+    /// the entry as not yet remotely durable. Returns what the L3 leg needs
+    /// and the receipt so far.
+    fn stage(
+        &mut self,
+        file: &CheckpointFile,
+    ) -> Result<(PendingDrain, CommitReceipt), RecoveryError> {
+        if let Some(last) = self.committed.last() {
+            if file.seq <= last.seq {
+                return Err(RecoveryError::OutOfOrderCommit {
+                    prev: last.seq,
+                    next: file.seq,
+                });
+            }
+        }
+        let (payload, spans) = if self.dedup.is_some() {
+            file.to_bytes_with_page_spans()
+        } else {
+            (file.to_bytes(), Vec::new())
+        };
+        let (_, local) = self.local.append(file.seq, file.kind, &payload);
+        let raid = match &mut self.dedup {
+            Some(dd) => append_installed(
+                &mut self.raid,
+                &mut dd.raid,
+                self.obs.as_ref(),
+                file.seq,
+                file.kind,
+                &payload,
+                &spans,
+            ),
+            None => self.raid.append(file.seq, file.kind, &payload).1,
+        };
+        if let Some(obs) = &self.obs {
+            obs.commits.inc();
+            obs.written[0].add(local.bytes);
+            obs.written[1].add(raid.bytes);
+        }
+        self.committed.push(CommittedEntry {
+            seq: file.seq,
+            job: file.job,
+            kind: file.kind,
+            l3_durable: false,
+            l12_live: true,
+        });
+        let receipt = CommitReceipt {
+            local,
+            raid,
+            remote: Receipt {
+                bytes: 0,
+                seconds: 0.0,
+            },
+            truncated: 0,
+        };
+        let drain = PendingDrain {
+            job: file.job,
+            kind: file.kind,
             payload,
             spans,
-        } = drain;
-        // Install against the remote store *now*, not at enqueue time:
-        // the durable chunk index is what the frame may reference.
+        };
+        Ok((drain, receipt))
+    }
+
+    /// The remote leg: append (or, under dedup, install) the payload on L3
+    /// and mark the entry remotely durable.
+    fn land(&mut self, seq: u64, drain: &PendingDrain) -> Receipt {
+        // Install against the remote store *now*, not at stage time: the
+        // durable chunk index is what the frame may reference.
         let remote = match &mut self.dedup {
             Some(dd) => append_installed(
                 &mut self.remote,
                 &mut dd.remote,
                 self.obs.as_ref(),
                 seq,
-                kind,
-                &payload,
-                &spans,
+                drain.kind,
+                &drain.payload,
+                &drain.spans,
             ),
-            None => self.remote.append(seq, kind, &payload).1,
+            None => self.remote.append(seq, drain.kind, &drain.payload).1,
         };
-        for e in &mut self.committed {
-            if e.seq == seq {
-                e.l3_durable = true;
-            }
+        // Acks land for recent commits, so scan from the newest entry.
+        if let Some(e) = self.committed.iter_mut().rev().find(|e| e.seq == seq) {
+            e.l3_durable = true;
         }
         if let Some(obs) = &self.obs {
-            obs.wb_acks.inc();
             obs.written[2].add(remote.bytes);
         }
-        let mut truncated = 0;
-        if kind == CheckpointKind::Full {
-            // Deferred anchor GC: this job's L3 records below the anchor
-            // are now superseded by a remotely durable full image, and its
-            // superseded drains still in the queue will never be needed.
-            let stale: Vec<u64> = self
-                .committed
-                .iter()
-                .filter(|e| e.job == job && e.seq < seq)
-                .map(|e| e.seq)
-                .collect();
-            let held_before = self.remote.store().stored_bytes();
-            let mut reclaimed = 0u64;
-            for s in &stale {
-                self.remote.mark_dead(*s);
-                if let Some(dd) = &mut self.dedup {
-                    for c in dd.remote.forget_record(*s) {
-                        self.remote.mark_dead(c);
-                        reclaimed += 1;
-                    }
-                }
-            }
-            maybe_compact!(self.remote, self.compaction);
-            self.committed.retain(|e| e.job != job || e.seq >= seq);
-            let mut dropped = 0u64;
-            self.pending_remote.retain(|&s, p| {
-                if p.job == job && s < seq {
-                    dropped += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            truncated = stale.len();
-            if let Some(obs) = &self.obs {
-                obs.gc_objects.add(stale.len() as u64);
-                obs.gc_bytes
-                    .add(held_before.saturating_sub(self.remote.store().stored_bytes()));
-                obs.wb_dropped.add(dropped);
-                obs.dedup_reclaims.add(reclaimed);
-            }
-        }
-        Ok(RemoteAck { remote, truncated })
+        remote
     }
 
-    fn check_order(&self, next: u64) -> Result<(), RecoveryError> {
-        if let Some(last) = self.committed.last() {
-            if next <= last.seq {
-                return Err(RecoveryError::OutOfOrderCommit {
-                    prev: last.seq,
-                    next,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Mark this job's committed records with `seq < anchor` dead on all
-    /// three levels and compact per policy; returns how many records were
-    /// collected. Dedup references are dropped with their records —
-    /// a chunk is marked dead only when its *last* reference goes, so a
-    /// chunk still serving another job (or a newer record) survives the
-    /// truncation untouched. (The synchronous anchor is durable everywhere
-    /// at once, so this job's superseded pending drains are dropped too —
-    /// nothing will ever need them.)
-    fn truncate_before(&mut self, anchor: u64, job: u64) -> usize {
-        let stale: Vec<u64> = self
-            .committed
-            .iter()
-            .filter(|e| e.job == job && e.seq < anchor)
-            .map(|e| e.seq)
-            .collect();
-        let held_before: u64 = self.stored_bytes().iter().sum();
-        self.committed.retain(|e| e.job != job || e.seq >= anchor);
-        let mut dropped = 0u64;
-        self.pending_remote.retain(|&s, p| {
-            if p.job == job && s < anchor {
-                dropped += 1;
-                false
-            } else {
-                true
-            }
-        });
-        let mut reclaimed = 0u64;
-        for s in &stale {
-            self.local.mark_dead(*s);
-            self.raid.mark_dead(*s);
-            self.remote.mark_dead(*s);
-            if let Some(dd) = &mut self.dedup {
-                for c in dd.raid.forget_record(*s) {
-                    self.raid.mark_dead(c);
-                    reclaimed += 1;
-                }
-                for c in dd.remote.forget_record(*s) {
-                    self.remote.mark_dead(c);
-                    reclaimed += 1;
-                }
-            }
-        }
-        maybe_compact!(self.local, self.compaction);
-        maybe_compact!(self.raid, self.compaction);
-        maybe_compact!(self.remote, self.compaction);
-        if let Some(obs) = &self.obs {
-            let held_after: u64 = self.stored_bytes().iter().sum();
-            obs.gc_objects.add(stale.len() as u64);
-            obs.gc_bytes.add(held_before.saturating_sub(held_after));
-            obs.wb_dropped.add(dropped);
-            obs.dedup_reclaims.add(reclaimed);
-        }
-        stale.len()
-    }
-
-    /// Write-behind anchor GC, part one: truncate the **L1/L2** prefix now
-    /// (the anchor is locally durable, so local restarts never need it) but
-    /// leave the L3 records in place — they are the only remotely durable
-    /// chain until the anchor's own drain is acknowledged. Superseded
-    /// entries stay in the commit log, marked dead on L1/L2.
-    fn truncate_l12_before(&mut self, anchor: u64, job: u64) -> usize {
-        let mut collected = 0;
-        let mut reclaimed = 0u64;
-        let held_before = self.local.store().stored_bytes() + self.raid.store().stored_bytes();
+    /// Anchor GC: `job`'s records below `anchor` are superseded on
+    /// `levels`, so they are retired there and each level compacts per
+    /// policy. While L3 is not among the levels (a write-behind anchor at
+    /// commit) the entries stay in the commit log, dead on L1/L2, because
+    /// L3 still serves them until the anchor's own ack. Once it is (a
+    /// synchronous anchor, or that ack) the entries go, and so do the job's
+    /// superseded pending drains — nothing will ever need them. Returns
+    /// the records collected and the dropped drains' seqs.
+    fn truncate_below(
+        &mut self,
+        anchor: u64,
+        job: u64,
+        levels: RangeInclusive<usize>,
+    ) -> (usize, Vec<u64>) {
+        let l3 = levels.contains(&3);
+        let mut stale = Vec::new();
         for e in &mut self.committed {
-            if e.job == job && e.seq < anchor && e.l12_live {
+            if e.job == job && e.seq < anchor && (l3 || e.l12_live) {
                 e.l12_live = false;
-                collected += 1;
-                self.local.mark_dead(e.seq);
-                self.raid.mark_dead(e.seq);
-                if let Some(dd) = &mut self.dedup {
-                    for c in dd.raid.forget_record(e.seq) {
-                        self.raid.mark_dead(c);
-                        reclaimed += 1;
-                    }
+                stale.push(e.seq);
+            }
+        }
+        // Only the metrics read the held bytes, and summing a level's
+        // bytes walks its whole store.
+        let held_before = self.obs.is_some().then(|| self.held(&levels));
+        let mut dropped = Vec::new();
+        if l3 {
+            self.committed.retain(|e| e.job != job || e.seq >= anchor);
+            dropped = self.drop_pending(job, anchor);
+        }
+        let (reclaimed, _) = self.retire(&stale, levels.clone());
+        self.compact_per_policy(levels.clone());
+        if let (Some(obs), Some(before)) = (&self.obs, held_before) {
+            obs.gc_objects.add(stale.len() as u64);
+            obs.gc_bytes.add(before.saturating_sub(self.held(&levels)));
+            obs.wb_dropped.add(dropped.len() as u64);
+            obs.dedup_reclaims.add(reclaimed);
+        }
+        (stale.len(), dropped)
+    }
+
+    /// Mark `seqs` dead on `levels` and drop their dedup references on
+    /// L2/L3: a chunk is marked dead only when its *last* reference goes,
+    /// so a chunk still serving another job (or a newer record) survives.
+    /// Returns the chunks reclaimed and whether any record or chunk died.
+    fn retire(&mut self, seqs: &[u64], levels: RangeInclusive<usize>) -> (u64, bool) {
+        let mut reclaimed = 0;
+        let mut died = false;
+        for &seq in seqs {
+            for level in levels.clone() {
+                died |= self.mark_dead(level, seq);
+                let chunks = match (&mut self.dedup, level) {
+                    (Some(dd), 2) => dd.raid.forget_record(seq),
+                    (Some(dd), 3) => dd.remote.forget_record(seq),
+                    _ => Vec::new(),
+                };
+                for c in chunks {
+                    died |= self.mark_dead(level, c);
+                    reclaimed += 1;
                 }
             }
         }
-        maybe_compact!(self.local, self.compaction);
-        maybe_compact!(self.raid, self.compaction);
-        if let Some(obs) = &self.obs {
-            let held_after = self.local.store().stored_bytes() + self.raid.store().stored_bytes();
-            obs.gc_objects.add(collected as u64);
-            obs.gc_bytes.add(held_before.saturating_sub(held_after));
-            obs.dedup_reclaims.add(reclaimed);
+        (reclaimed, died)
+    }
+
+    /// Bytes held on `levels`.
+    fn held(&self, levels: &RangeInclusive<usize>) -> u64 {
+        let level_bytes = |level| match level {
+            1 => self.local.store().stored_bytes(),
+            2 => self.raid.store().stored_bytes(),
+            _ => self.remote.store().stored_bytes(),
+        };
+        levels.clone().map(level_bytes).sum()
+    }
+
+    /// Mark one record dead on `level`'s log; true if it was live.
+    fn mark_dead(&mut self, level: usize, seq: u64) -> bool {
+        match level {
+            1 => self.local.mark_dead(seq),
+            2 => self.raid.mark_dead(seq),
+            _ => self.remote.mark_dead(seq),
         }
-        collected
+    }
+
+    /// Compact each of `levels` whose garbage the policy says is due.
+    fn compact_per_policy(&mut self, levels: RangeInclusive<usize>) {
+        for level in levels {
+            match level {
+                1 => maybe_compact(&mut self.local, self.compaction),
+                2 => maybe_compact(&mut self.raid, self.compaction),
+                _ => maybe_compact(&mut self.remote, self.compaction),
+            }
+        }
+    }
+
+    /// Drop `job`'s parked drains below `below`; returns their seqs.
+    fn drop_pending(&mut self, job: u64, below: u64) -> Vec<u64> {
+        let mut dropped = Vec::new();
+        self.pending_remote.retain(|&s, p| {
+            let drop = p.job == job && s < below;
+            if drop {
+                dropped.push(s);
+            }
+            !drop
+        });
+        dropped
     }
 
     /// Sequence numbers still retained (the current chain).
@@ -1010,27 +969,16 @@ impl StorageHierarchy {
                 // Contiguity is per job: one job's gap must not cut another
                 // job's acknowledged suffix.
                 let mut stopped = std::collections::HashSet::new();
-                let mut kept = Vec::with_capacity(self.committed.len());
                 let mut orphans = Vec::new();
-                for e in self.committed.drain(..) {
+                self.committed.retain(|e| {
                     if !stopped.contains(&e.job) && e.l3_durable {
-                        kept.push(e);
-                    } else {
-                        stopped.insert(e.job);
-                        orphans.push(e);
+                        return true;
                     }
-                }
-                self.committed = kept;
-                let mut any_dead = false;
-                for e in orphans {
-                    any_dead |= self.remote.mark_dead(e.seq);
-                    if let Some(dd) = &mut self.dedup {
-                        for c in dd.remote.forget_record(e.seq) {
-                            any_dead |= self.remote.mark_dead(c);
-                        }
-                    }
-                }
-                if any_dead {
+                    stopped.insert(e.job);
+                    orphans.push(e.seq);
+                    false
+                });
+                if self.retire(&orphans, 3..=3).1 {
                     // The gap-cut must free the orphans now — an f3 restart
                     // reads only the acknowledged prefix, and nothing pins
                     // the dead suffix (the node that might have is gone).
@@ -1074,34 +1022,14 @@ impl StorageHierarchy {
         match level {
             1 => Ok(Vec::new()),
             2 => {
-                for s in &owned {
-                    self.local.mark_dead(*s);
-                }
-                maybe_compact!(self.local, self.compaction);
+                self.retire(&owned, 1..=1);
+                self.compact_per_policy(1..=1);
                 Ok(Vec::new())
             }
             3 => {
-                let mut reclaimed = 0u64;
-                for s in &owned {
-                    self.local.mark_dead(*s);
-                    self.raid.mark_dead(*s);
-                    if let Some(dd) = &mut self.dedup {
-                        for c in dd.raid.forget_record(*s) {
-                            self.raid.mark_dead(c);
-                            reclaimed += 1;
-                        }
-                    }
-                }
+                let (mut reclaimed, _) = self.retire(&owned, 1..=2);
                 // The pending drains were fed from the dead node's copies.
-                let mut lost = Vec::new();
-                self.pending_remote.retain(|&s, p| {
-                    if p.job == job {
-                        lost.push(s);
-                        false
-                    } else {
-                        true
-                    }
-                });
+                let lost = self.drop_pending(job, u64::MAX);
                 // Gap-cut this job's remote chain at its own contiguous
                 // acknowledged prefix; orphans (acked past a gap) go too.
                 // Survivors lose their L1/L2 copies with the node, so L1/L2
@@ -1121,18 +1049,8 @@ impl StorageHierarchy {
                         false
                     }
                 });
-                for s in &orphans {
-                    self.remote.mark_dead(*s);
-                    if let Some(dd) = &mut self.dedup {
-                        for c in dd.remote.forget_record(*s) {
-                            self.remote.mark_dead(c);
-                            reclaimed += 1;
-                        }
-                    }
-                }
-                maybe_compact!(self.local, self.compaction);
-                maybe_compact!(self.raid, self.compaction);
-                maybe_compact!(self.remote, self.compaction);
+                reclaimed += self.retire(&orphans, 3..=3).0;
+                self.compact_per_policy(1..=3);
                 if let Some(obs) = &self.obs {
                     obs.wb_dropped.add(lost.len() as u64);
                     obs.gc_objects.add(orphans.len() as u64);
@@ -1151,50 +1069,7 @@ impl StorageHierarchy {
     /// Returns the retired record count and the dropped pending-drain
     /// seqs (the caller cancels their in-flight transfers).
     pub fn remove_job(&mut self, job: u64) -> (usize, Vec<u64>) {
-        let owned: Vec<u64> = self
-            .committed
-            .iter()
-            .filter(|e| e.job == job)
-            .map(|e| e.seq)
-            .collect();
-        let held_before: u64 = self.stored_bytes().iter().sum();
-        let mut reclaimed = 0u64;
-        for s in &owned {
-            self.local.mark_dead(*s);
-            self.raid.mark_dead(*s);
-            self.remote.mark_dead(*s);
-            if let Some(dd) = &mut self.dedup {
-                for c in dd.raid.forget_record(*s) {
-                    self.raid.mark_dead(c);
-                    reclaimed += 1;
-                }
-                for c in dd.remote.forget_record(*s) {
-                    self.remote.mark_dead(c);
-                    reclaimed += 1;
-                }
-            }
-        }
-        self.committed.retain(|e| e.job != job);
-        let mut lost = Vec::new();
-        self.pending_remote.retain(|&s, p| {
-            if p.job == job {
-                lost.push(s);
-                false
-            } else {
-                true
-            }
-        });
-        maybe_compact!(self.local, self.compaction);
-        maybe_compact!(self.raid, self.compaction);
-        maybe_compact!(self.remote, self.compaction);
-        if let Some(obs) = &self.obs {
-            let held_after: u64 = self.stored_bytes().iter().sum();
-            obs.gc_objects.add(owned.len() as u64);
-            obs.gc_bytes.add(held_before.saturating_sub(held_after));
-            obs.wb_dropped.add(lost.len() as u64);
-            obs.dedup_reclaims.add(reclaimed);
-        }
-        (owned.len(), lost)
+        self.truncate_below(u64::MAX, job, 1..=3)
     }
 
     /// Location of `seq`'s live record in `level`'s log — the pinned-reader
@@ -2138,6 +2013,108 @@ mod tests {
             assert_eq!(img.snapshot, image);
             assert!(!img.degraded);
         }
+    }
+
+    /// The synchronous commit is a write-behind commit whose drain is
+    /// acknowledged at once. Random commit sequences (1–3 jobs, anchors
+    /// about one in four, half of every image drawn from a page pool all
+    /// jobs share, 24 KiB segments so compaction runs) go to two
+    /// hierarchies, one per path, with dedup off and on. After every commit
+    /// the receipts, the commit log, the stored bytes, the log statistics,
+    /// the live records and every job's recovery at every level agree.
+    #[test]
+    fn sync_commit_equals_write_behind_plus_immediate_ack() {
+        const PAGES: u64 = 4;
+        let hierarchy = |dedup: bool| {
+            let mut h = StorageHierarchy::with_segments(
+                FlatStore::new(BandwidthModel::new(100e6, 1e-3)),
+                Raid5Group::new(4, 1024, BandwidthModel::new(471.7e6, 1e-3)),
+                FlatStore::new(BandwidthModel::new(2e6, 10e-3)),
+                24 << 10,
+            );
+            if dedup {
+                h.enable_dedup();
+            }
+            h
+        };
+        let recovered = |h: &StorageHierarchy, level: usize, job: u64| {
+            h.recover_job(level, job).map(|img| {
+                let secs = img.read_seconds.to_bits();
+                (
+                    img.snapshot,
+                    img.cpu_state,
+                    img.level,
+                    img.seq,
+                    secs,
+                    img.degraded,
+                )
+            })
+        };
+        let mut compacted = false;
+        for seed in 0..40u64 {
+            for dedup in [false, true] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let jobs = rng.gen_range(1..=3u64);
+                let (mut sync, mut wb) = (hierarchy(dedup), hierarchy(dedup));
+                let mut images: Vec<Option<Snapshot>> = vec![None; jobs as usize];
+                for seq in 1..40u64 {
+                    let job = rng.gen_range(1..=jobs);
+                    let ctx = format!("seed {seed} dedup {dedup} seq {seq} job {job}");
+                    let prev = images[job as usize - 1].clone();
+                    let mut dirty = Snapshot::new();
+                    for p in 0..PAGES {
+                        if prev.is_none() || rng.gen_bool(0.5) || p == seq % PAGES {
+                            let content = if p < PAGES / 2 {
+                                rng.gen_range(0..6u64)
+                            } else {
+                                1000 * job + rng.gen_range(0..1000u64)
+                            };
+                            dirty.insert(p, page(content));
+                        }
+                    }
+                    let mut image = prev.clone().unwrap_or_default();
+                    for (p, pg) in dirty.iter() {
+                        image.insert(p, pg.clone());
+                    }
+                    let live: Vec<u64> = (0..PAGES).collect();
+                    let cpu = Bytes::from(seq.to_le_bytes().to_vec());
+                    let file = match prev {
+                        Some(prev) if rng.gen_range(0..4) != 0 => {
+                            if rng.gen_bool(0.5) {
+                                CheckpointFile::incremental(job, seq, dirty, live, cpu)
+                            } else {
+                                let (df, _) = pa_encode(&prev, &dirty, &PaParams::default());
+                                CheckpointFile::delta(job, seq, df, live, cpu)
+                            }
+                        }
+                        _ => CheckpointFile::full(job, seq, image.clone(), cpu),
+                    };
+                    images[job as usize - 1] = Some(image);
+
+                    let s = sync.commit(&file).unwrap();
+                    let (w, _) = wb.commit_write_behind(&file).unwrap();
+                    let ack = wb.ack_remote(seq).unwrap();
+                    assert_eq!(
+                        (s.local, s.raid, s.remote, s.truncated),
+                        (w.local, w.raid, ack.remote, ack.truncated),
+                        "{ctx}"
+                    );
+                    assert_eq!(sync.committed(), wb.committed(), "{ctx}");
+                    assert_eq!(sync.stored_bytes(), wb.stored_bytes(), "{ctx}");
+                    assert_eq!(sync.log_stats(), wb.log_stats(), "{ctx}");
+                    for level in 1..=3 {
+                        let live = sync.live_record_seqs(level);
+                        assert_eq!(live, wb.live_record_seqs(level), "{ctx} L{level}");
+                        for j in 1..=jobs {
+                            let want = recovered(&sync, level, j);
+                            assert_eq!(want, recovered(&wb, level, j), "{ctx} L{level} job {j}");
+                        }
+                    }
+                }
+                compacted |= sync.log_stats().iter().any(|l| l.epoch > 0);
+            }
+        }
+        assert!(compacted, "no sequence compacted a log");
     }
 
     proptest! {

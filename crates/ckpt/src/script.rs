@@ -59,7 +59,7 @@ use crate::fleet::SharedDatasetFleet;
 use crate::fleetcore::{build_cut, Committed, FleetCore, RecoveryWindow, TenantCore};
 use crate::format::CheckpointFile;
 use crate::recovery::{RecoveredImage, RecoveryError, StorageHierarchy};
-use crate::service::{ServiceConfig, TenantPolicy};
+use crate::service::{ServiceConfig, TenantPolicy, TICK};
 
 /// One command in a tenant session, executed strictly in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,7 +367,7 @@ pub fn run_script_sim(
             if left[id] {
                 continue;
             }
-            clock.advance(cfg.tick);
+            clock.advance(TICK);
             core.land_acks(clock.now())?;
             let (t, rec) = &mut tenants[id];
             match script.cmds.get(cursors[id]).copied() {

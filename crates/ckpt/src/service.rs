@@ -10,9 +10,9 @@
 //! * **one [`CompressorPool`]** — every tenant's real encode work is
 //!   submitted to the same shared pool, tagged with the tenant, and each
 //!   tick waits for its cutters' jobs in cutter order; *virtual* encode
-//!   time is scheduled by a deficit-round-robin (DRR) dispatcher over
-//!   `cores` virtual encode cores, so one heavy-dirty tenant cannot starve
-//!   the light ones;
+//!   time is dealt onto `cores` virtual encode cores by the pool's own
+//!   deficit-round-robin (DRR) scheduler, so one heavy-dirty tenant cannot
+//!   starve the light ones;
 //! * **one write-behind [`crate::transport::NetworkTransport`]** — every
 //!   tenant's L3 drain contends on the same SF-way fair-shared link behind
 //!   one bounded queue (back-pressure stalls the cutter, it never drops);
@@ -21,14 +21,15 @@
 //!   anchor GC, gap-cuts, and departure reclamation) and epoch pins, so one
 //!   tenant's recovery never races another tenant's compaction or anchor GC.
 //!
-//! What only this driver does: time advances in [`ServiceConfig::tick`]
-//! steps of a virtual clock; admission is a bounded tenant-slot table plus
-//! encode-demand back-pressure (when the virtual encode backlog exceeds
-//! [`ServiceConfig::backlog_limit`], waiting tenants **stall** in a FIFO
-//! queue — they are never rejected); a recovery window closes once the
-//! recovery's read time has passed; and the outcome is a
-//! [`ServiceReport`] with per-tenant wire bytes attributed from acks, plus
-//! the `fleet.*` metrics. The same seed and specs produce a byte-identical
+//! What only this driver does: time advances in one-second ticks of a
+//! virtual clock; admission is a bounded tenant-slot table plus
+//! encode-demand back-pressure (while the virtual encode backlog exceeds
+//! 30 s, waiting tenants **stall** in a FIFO queue — they are never
+//! rejected); a recovery window closes once the recovery's read time has
+//! passed; and the outcome is a [`ServiceReport`] with per-tenant wire
+//! bytes attributed from acks, plus the `fleet.*` metrics, where
+//! `fleet.drr_rounds` counts one round per tenant credit as the pool's
+//! `PoolStats::rounds` does. The same seed and specs produce a byte-identical
 //! report. Isolation invariants (bit-identical recovery against the
 //! persona's pure-function state, pinned-reader safety under concurrent
 //! compaction, full reclamation of departed tenants) are counted, not
@@ -44,7 +45,7 @@ use aic_model::FailureRates;
 use aic_obs::{Counter, Field, Gauge, Histogram, Obs};
 
 use crate::clock::{ClockSource, VirtualClock};
-use crate::concurrent::CompressorPool;
+use crate::concurrent::{CompressorPool, Sched};
 use crate::fleet::SharedDatasetFleet;
 use crate::fleetcore::{
     build_cut, local_write_latency, FleetCore, RecoveryWindow, TenantCore, BLOCK_US_BUCKETS,
@@ -93,6 +94,13 @@ pub struct TenantSpec {
     pub crashes: Vec<(f64, usize)>,
 }
 
+/// Decision tick of the simulated drivers, virtual seconds.
+pub(crate) const TICK: f64 = 1.0;
+
+/// Encode-demand back-pressure: admissions stall while the earliest virtual
+/// core is busier than this many seconds ahead of now.
+const BACKLOG_LIMIT: f64 = 30.0;
+
 /// Fleet service knobs. All timing is virtual; one config + one spec list +
 /// one fleet seed is one deterministic run.
 #[derive(Debug, Clone)]
@@ -103,11 +111,6 @@ pub struct ServiceConfig {
     pub cores: usize,
     /// DRR quantum, bytes of encode work credited per scheduling round.
     pub quantum_bytes: u64,
-    /// Encode-demand back-pressure: stall admissions while the earliest
-    /// virtual core is busier than this many seconds ahead of now.
-    pub backlog_limit: f64,
-    /// Decision tick, virtual seconds.
-    pub tick: f64,
     /// Write-behind transport queue depth.
     pub queue_depth: usize,
     /// Shared L3 link bandwidth, bytes/s.
@@ -142,8 +145,6 @@ impl ServiceConfig {
             slots: 64,
             cores: 4,
             quantum_bytes: 64 << 10,
-            backlog_limit: 30.0,
-            tick: 1.0,
             queue_depth: 64,
             b3: 2.0e6,
             sharing_factor: 1.0,
@@ -294,18 +295,13 @@ enum TenantState {
     Departed,
 }
 
-/// One encode job riding the DRR queues: a delta's payload (already
-/// encoded by the shared pool; none for an anchor) plus the virtual shard
-/// costs still to be scheduled on the virtual cores. The cut itself is
-/// built when the job commits.
+/// One cut's encode job: when the cut started, when its local write is
+/// done, and a delta's payload (already encoded by the shared pool; none
+/// for an anchor). The cut itself is built when the job commits.
 #[derive(Debug)]
 struct EncodeJob {
     started: f64,
     ready: f64,
-    /// `(bytes, virtual seconds)` per shard, dispatch order.
-    shards: VecDeque<(u64, f64)>,
-    /// Completion high-water mark over dispatched shards.
-    end: f64,
     delta: Option<(PaDeltaFile, EncodeReport)>,
 }
 
@@ -323,8 +319,6 @@ struct Tenant {
     admission_wait: f64,
     recoveries: u64,
     verified: Option<bool>,
-    deficit: u64,
-    queue: VecDeque<EncodeJob>,
 }
 
 impl Tenant {
@@ -342,8 +336,6 @@ impl Tenant {
             admission_wait: 0.0,
             recoveries: 0,
             verified: None,
-            deficit: 0,
-            queue: VecDeque::new(),
         }
     }
 
@@ -359,6 +351,8 @@ impl Tenant {
 /// commit in global `(time, tenant)` order.
 #[derive(Debug)]
 struct MaturedJob {
+    /// Completion: the ready time, raised to the end of every shard the
+    /// job's encode placed on a virtual core.
     at: f64,
     tenant: usize,
     job: EncodeJob,
@@ -456,8 +450,6 @@ impl Service<'_> {
     fn crash(&mut self, id: usize, level: usize, now: f64) -> Result<(), RecoveryError> {
         self.matured.retain(|m| m.tenant != id);
         let t = &mut self.tenants[id];
-        t.queue.clear();
-        t.deficit = 0;
         let (window, _) = self.core.crash(self.fleet, &mut t.core, level)?;
         t.recoveries += 1;
         let tenant: Field = ("tenant", (id as u64).into());
@@ -491,7 +483,7 @@ impl Service<'_> {
             o.obs.spans.point("fleet.recover", now, fields);
         }
         t.state = TenantState::Recovering {
-            until: now + window.read_seconds.max(self.cfg.tick),
+            until: now + window.read_seconds.max(TICK),
             window,
         };
         Ok(())
@@ -535,7 +527,6 @@ pub fn run_service(
 ) -> Result<ServiceReport, RecoveryError> {
     assert!(cfg.slots >= 1, "need at least one admission slot");
     assert!(cfg.cores >= 1, "need at least one encode core");
-    assert!(cfg.tick > 0.0, "tick must be positive");
     assert!(cfg.full_every >= 1, "full_every must be >= 1");
     for s in specs {
         assert!(s.rounds >= 1, "tenants must cut at least one checkpoint");
@@ -633,7 +624,7 @@ pub fn run_service(
         }
         let backlog = cores.iter().copied().fold(f64::INFINITY, f64::min) - now;
         while let Some(&head) = admission_q.front() {
-            if svc.active() >= cfg.slots || backlog > cfg.backlog_limit {
+            if svc.active() >= cfg.slots || backlog > BACKLOG_LIMIT {
                 if let Some(o) = &svc.fobs {
                     o.admission_stalls.inc();
                 }
@@ -663,13 +654,13 @@ pub fn run_service(
 
         // 6. Work accrual and cut decisions, tenant order. Every delta
         // cutter's real encode is submitted to the shared pool before any
-        // is waited for; virtual encode time is DRR-scheduled below.
+        // is waited for; virtual encode time is scheduled below.
         let mut cutters: Vec<usize> = Vec::new();
         for (id, t) in svc.tenants.iter_mut().enumerate() {
             if !matches!(t.state, TenantState::Working) || t.busy_until > now {
                 continue;
             }
-            t.work_done += cfg.tick;
+            t.work_done += TICK;
             if t.work_done + 1e-9 >= t.core.w {
                 cutters.push(id);
             }
@@ -683,105 +674,62 @@ pub fn run_service(
             }
         }
         let mut pending = pending.into_iter();
+        let mut sched = Sched::default();
+        let mut jobs = Vec::with_capacity(cutters.len());
         for &id in &cutters {
             let t = &mut svc.tenants[id];
-            let c1 = local_write_latency(fleet, cfg, t.core.persona);
-            let (shards, delta) = if t.core.next_is_full(cfg.full_every) {
-                (VecDeque::new(), None)
+            let ready = now + local_write_latency(fleet, cfg, t.core.persona);
+            let (plan, delta) = if t.core.next_is_full(cfg.full_every) {
+                (Vec::new(), None)
             } else {
-                let (file, report) = pending.next().expect("one pool job per delta cut").wait();
-                let dl_single = cfg.cost_model.delta_latency(&report);
-                let n_pages = fleet.pages_of(t.core.persona);
-                let shards = plan_shards(n_pages, cfg.cores)
-                    .iter()
-                    .map(|s| {
-                        let pages = (s.end - s.start) as u64;
-                        let secs = dl_single * pages as f64 / n_pages as f64;
-                        (pages * aic_memsim::PAGE_SIZE as u64, secs)
-                    })
-                    .collect();
-                (shards, Some((file, report)))
+                let encoded = pending.next().expect("one pool job per delta cut").wait();
+                let pages = fleet.pages_of(t.core.persona);
+                (plan_shards(pages, cfg.cores), Some(encoded))
             };
             t.state = TenantState::Cutting;
-            t.queue.push_back(EncodeJob {
+            sched.push(id as u64, jobs.len(), plan);
+            let job = EncodeJob {
                 started: now,
-                ready: now + c1,
-                shards,
-                end: now + c1,
+                ready,
                 delta,
+            };
+            jobs.push(MaturedJob {
+                at: ready,
+                tenant: id,
+                job,
             });
         }
 
-        // 7. DRR dispatch: cycle tenant queues, crediting quantum_bytes per
-        // visit; a shard dispatches when its bytes fit the deficit, onto
-        // the earliest-free virtual core. A drained queue forfeits its
-        // deficit (classic DRR), so an idle tenant cannot bank credit.
-        let quantum = cfg.quantum_bytes.max(1);
-        let mut active_ids: Vec<usize> = svc
-            .tenants
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.queue.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-        while !active_ids.is_empty() {
+        // 7. Virtual encode time: the pool's deficit-round-robin scheduler
+        // deals this tick's jobs, shards planned over each persona's pages
+        // (an anchor has none and matures at its ready time). Each shard
+        // runs on the earliest-free virtual core for its page share of the
+        // job's delta latency, so one heavy-dirty tenant cannot starve the
+        // light ones. Every tick drains the scheduler, so no credit carries
+        // over.
+        while let Some((i, shard)) = sched.pick(cfg.quantum_bytes.max(1)) {
+            let Some((_, shard)) = shard else { continue };
+            let m = &mut jobs[i];
+            let (_, report) = m.job.delta.as_ref().expect("a delta job has shards");
+            let pages = fleet.pages_of(svc.tenants[m.tenant].core.persona);
+            let secs = cfg.cost_model.delta_latency(report) * shard.len() as f64 / pages as f64;
+            let core = cores
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(i, _)| i)
+                .expect("cores is non-empty");
+            let start = m.job.ready.max(cores[core]).max(now);
+            cores[core] = start + secs;
+            m.at = m.at.max(cores[core]);
             if let Some(o) = &svc.fobs {
-                o.drr_rounds.inc();
+                o.shards.inc();
             }
-            let mut next_round = Vec::new();
-            for &id in &active_ids {
-                let t = &mut svc.tenants[id];
-                t.deficit = t.deficit.saturating_add(quantum);
-                loop {
-                    let Some(job) = t.queue.front_mut() else {
-                        t.deficit = 0;
-                        break;
-                    };
-                    let Some(&(bytes, secs)) = job.shards.front() else {
-                        // A full checkpoint carries no encode shards; it
-                        // matures at its ready time.
-                        let mut done = t.queue.pop_front().expect("non-empty queue");
-                        done.end = done.end.max(done.ready);
-                        svc.matured.push(MaturedJob {
-                            at: done.end,
-                            tenant: id,
-                            job: done,
-                        });
-                        continue;
-                    };
-                    if bytes > t.deficit {
-                        break;
-                    }
-                    t.deficit -= bytes;
-                    let core = cores
-                        .iter()
-                        .enumerate()
-                        .min_by(|a, b| a.1.total_cmp(b.1))
-                        .map(|(i, _)| i)
-                        .expect("cores is non-empty");
-                    let start = job.ready.max(cores[core]).max(now);
-                    let end = start + secs;
-                    cores[core] = end;
-                    job.end = job.end.max(end);
-                    job.shards.pop_front();
-                    if let Some(o) = &svc.fobs {
-                        o.shards.inc();
-                    }
-                    if job.shards.is_empty() {
-                        let done = t.queue.pop_front().expect("non-empty queue");
-                        svc.matured.push(MaturedJob {
-                            at: done.end,
-                            tenant: id,
-                            job: done,
-                        });
-                    }
-                }
-                if !t.queue.is_empty() {
-                    next_round.push(id);
-                }
-            }
-            active_ids = next_round;
         }
+        if let Some(o) = &svc.fobs {
+            o.drr_rounds.add(sched.rounds);
+        }
+        svc.matured.extend(jobs);
 
         if svc
             .tenants
@@ -790,7 +738,7 @@ pub fn run_service(
         {
             break;
         }
-        clock.advance(cfg.tick);
+        clock.advance(TICK);
     }
     let now = clock.now();
 
@@ -941,6 +889,77 @@ mod tests {
                 t.w_trajectory, solo.per_tenant[0].w_trajectory,
                 "tenant {i} w* trajectory diverged from its solo oracle"
             );
+        }
+    }
+
+    /// Pins the multi-tenant virtual encode schedule, which the
+    /// single-tenant golden replay cannot exercise: eight heterogeneous
+    /// tenants (Adaptive and two Fixed intervals) join in pairs through
+    /// five slots onto three virtual cores, and a one-page quantum makes
+    /// every shard wait for credit, so deficit round robin preempts at
+    /// every shard boundary; crashes hit levels 1-3. A change to any of
+    /// these bits is a change to the schedule.
+    #[test]
+    fn multi_tenant_virtual_schedule_is_pinned() {
+        let fleet = SharedDatasetFleet::heterogeneous(vec![3, 9, 5, 14, 7, 11, 4, 8], 40, 17);
+        let mut cfg = small_cfg();
+        cfg.cores = 3;
+        cfg.slots = 5;
+        cfg.quantum_bytes = aic_memsim::PAGE_SIZE as u64;
+        let crashes = [
+            vec![],
+            vec![(9.0, 1)],
+            vec![(7.0, 3)],
+            vec![(12.0, 2)],
+            vec![],
+            vec![(15.0, 3), (24.0, 1)],
+            vec![(10.0, 2)],
+            vec![],
+        ];
+        let specs: Vec<TenantSpec> = crashes
+            .into_iter()
+            .enumerate()
+            .map(|(i, crashes)| TenantSpec {
+                persona: i,
+                policy: if i % 3 == 0 {
+                    TenantPolicy::Adaptive { bootstrap: 2.0 }
+                } else {
+                    TenantPolicy::Fixed(2.0 + (i % 2) as f64)
+                },
+                join_at: (i / 2) as f64 * 2.0,
+                rounds: 6,
+                crashes,
+            })
+            .collect();
+        let rep = run_service(&fleet, &specs, &cfg).unwrap();
+        assert!(rep.clean(), "violations: {}", rep.isolation_violations);
+        assert_eq!(rep.cuts, 48);
+        assert_eq!(rep.makespan.to_bits(), 0x4041000000000000);
+        assert_eq!(rep.p99_block.to_bits(), 0x3fa765577cee4400);
+        assert_eq!(rep.mean_block.to_bits(), 0x3f8e3d51de978a48);
+        let (one, two, three) = (0x3ff00000bcf3d874, 0x4000000000000000, 0x4008000000000000);
+        let adaptive3 = [
+            0x3ff61f03c4b9147a,
+            0x3ff61e3f505962f4,
+            0x3ff61e0cb959c5ac,
+            0x3ff61e3f505962f4,
+            0x3ff61e1f7bd853ae,
+            0x3ff61e0b3f7214c6,
+        ];
+        let want: [(u64, [u64; 6]); 8] = [
+            (0x3f8aa77cb6c06800, [one; 6]),
+            (0x3f9e14950e56ea00, [three; 6]),
+            (0x3f8ad26fd484c800, [two; 6]),
+            (0x3fa765577cee4400, adaptive3),
+            (0x3f9418757bab0a00, [two; 6]),
+            (0x3fa4085a50816600, [three; 6]),
+            (0x3f90ab5d24148400, [one; 6]),
+            (0x3f9abcf645a29800, [three; 6]),
+        ];
+        for (t, (max_block, w)) in rep.per_tenant.iter().zip(want) {
+            assert_eq!(t.max_block.to_bits(), max_block, "tenant {}", t.id);
+            let bits: Vec<u64> = t.w_trajectory.iter().map(|w| w.to_bits()).collect();
+            assert_eq!(bits, w, "tenant {}", t.id);
         }
     }
 

@@ -16,8 +16,8 @@
 //!   gets `B / (SF − 1 + k)` bytes/s — the arithmetic lives in
 //!   [`aic_model::sharing::SharingModel`], the same model the closed-form
 //!   [`aic_model::params::LevelCosts::with_sharing_factor`] stretches costs
-//!   with, so a lone transfer drains in exactly `SF ×` its dedicated time
-//!   and `repro fig7` can be driven through the transport.
+//!   with, so a lone transfer drains in exactly `SF ×` its dedicated time,
+//!   the stretch `repro fig7` applies in closed form.
 //! * **Bounded queue + back-pressure.** At most `queue_depth` transfers may
 //!   be outstanding. [`NetworkTransport::enqueue`] past that bound *stalls
 //!   the caller*: the transport advances its own clock until a slot frees
@@ -502,8 +502,7 @@ impl NetworkTransport {
         }
     }
 
-    /// Admit a transfer sized directly in (possibly fractional) bytes —
-    /// the model-driving entry point used by [`sf_stretched_costs`].
+    /// Admit a transfer of `bytes` payload bytes now (the queue has room).
     fn admit(&mut self, seq: u64, bytes: f64) {
         debug_assert!(self.transfers.len() < self.cfg.queue_depth);
         let mut tr = Transfer {
@@ -952,48 +951,9 @@ enum StepPlan {
     Step(f64),
 }
 
-/// Stretch a cost profile's transfer segments by running each one through
-/// a [`NetworkTransport`] under `sf`-way sharing — the discrete-event
-/// counterpart of
-/// [`LevelCosts::with_sharing_factor`](aic_model::params::LevelCosts::with_sharing_factor),
-/// used by `repro
-/// fig7` so the figure is driven by the transport's contention model.
-///
-/// A lone transfer on a link shared `sf` ways gets `B/sf`, so a segment of
-/// `d` dedicated seconds measures `d · sf`; this function asserts that the
-/// simulated drain agrees with the fair-share arithmetic before returning
-/// the stretched profile.
-pub fn sf_stretched_costs(
-    base: &aic_model::params::LevelCosts,
-    sf: f64,
-) -> aic_model::params::LevelCosts {
-    let c1 = base.c(1);
-    let mut stretched = *base;
-    for k in [2usize, 3] {
-        let dedicated = base.transfer(k);
-        if dedicated == 0.0 {
-            continue;
-        }
-        // Unit bandwidth, zero latency: `dedicated` bytes take exactly
-        // `dedicated` dedicated-seconds; measure the drain under sharing.
-        let link = LinkConfig {
-            bytes_per_sec: 1.0,
-            latency: 0.0,
-            sharing: SharingModel::new(sf),
-        };
-        let mut t = NetworkTransport::new(link, WriteBehindConfig::with_depth(1));
-        t.admit(k as u64, dedicated);
-        let (events, finished) = t.quiesce();
-        debug_assert!(matches!(events.as_slice(), [TransportEvent::Acked { .. }]));
-        stretched.c[k - 1] = c1 + finished;
-    }
-    stretched
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aic_model::params::LevelCosts;
 
     fn link(b: f64, sf: f64) -> LinkConfig {
         LinkConfig::new(b, 0.0, sf)
@@ -1291,23 +1251,6 @@ mod tests {
         let (_, at) = t.quiesce();
         assert!((eta - at).abs() < 1e-9, "eta {eta} vs actual {at}");
         assert_eq!(t.eta_of(0), None);
-    }
-
-    #[test]
-    fn sf_stretched_costs_agree_with_closed_form() {
-        let base = LevelCosts::symmetric(0.5, 4.5, 1052.0);
-        for sf in [1.0, 2.0, 3.0, 5.0, 7.0, 15.0] {
-            let sim = sf_stretched_costs(&base, sf);
-            let closed = base.with_sharing_factor(sf);
-            for k in 1..=3 {
-                assert!(
-                    (sim.c(k) - closed.c(k)).abs() < 1e-9,
-                    "sf={sf} level={k}: sim {} vs closed {}",
-                    sim.c(k),
-                    closed.c(k)
-                );
-            }
-        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! really differs lives here:
 //!
 //! * time comes from a [`MonotonicClock`]; tenant sessions live on OS
-//!   threads, behind a FIFO admission gate that **blocks real callers**;
+//!   threads, and admission **blocks real callers**: a joiner takes a FIFO
+//!   ticket (its session id) and waits on the shared state's condvar until
+//!   its ticket is served and a slot is free;
 //! * every session encodes through one shared [`CompressorPool`], tagged
 //!   with its tenant, so cuts are scheduled preemptively across the workers
 //!   at **shard granularity** (deficit round robin);
@@ -50,65 +52,6 @@ const POLL: Duration = Duration::from_micros(200);
 
 /// How often the background drainer applies completed transport drains.
 const DRAIN_TICK: Duration = Duration::from_millis(1);
-
-// ---------------------------------------------------------------------------
-// Admission gate
-// ---------------------------------------------------------------------------
-
-/// FIFO blocking admission: callers take a ticket and sleep on a condvar
-/// until they are both at the head of the line and a slot is free. The
-/// head is never overtaken (bounded wait) and never dropped.
-pub(crate) struct AdmissionGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct GateState {
-    next_ticket: u64,
-    serving: u64,
-    active: usize,
-}
-
-impl AdmissionGate {
-    pub(crate) fn new() -> Self {
-        AdmissionGate {
-            state: Mutex::new(GateState::default()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until a slot is free and every earlier caller has been
-    /// admitted. Returns the number of times the caller went to sleep
-    /// (the admission-stall count for this join).
-    pub(crate) fn acquire(&self, slots: usize) -> u64 {
-        let mut stalls = 0;
-        let mut s = self.state.lock().unwrap();
-        let ticket = s.next_ticket;
-        s.next_ticket += 1;
-        while !(s.serving == ticket && s.active < slots) {
-            stalls += 1;
-            s = self.cv.wait(s).unwrap();
-        }
-        s.serving += 1;
-        s.active += 1;
-        self.cv.notify_all();
-        stalls
-    }
-
-    /// Release a slot (a tenant left); wakes the head of the line.
-    pub(crate) fn release(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.active = s.active.saturating_sub(1);
-        self.cv.notify_all();
-    }
-
-    /// Callers holding a ticket but not yet admitted.
-    fn waiters(&self) -> u64 {
-        let s = self.state.lock().unwrap();
-        s.next_ticket - s.serving
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Wall-clock observability (Volatile-class)
@@ -173,7 +116,9 @@ impl WcObs {
 /// race-free by construction.
 struct Shared {
     core: FleetCore,
+    /// Admission tickets handed out; a joiner's ticket is its session id.
     next_session: usize,
+    /// Sessions admitted, which is also the ticket being served.
     admitted: u64,
     active: u64,
     cuts: u64,
@@ -182,6 +127,16 @@ struct Shared {
     departures: u64,
     /// Pool counters already mirrored into `fleet.wc.*`.
     pool_seen: PoolStats,
+}
+
+impl Shared {
+    /// Wake the joiners if a ticket is waiting: the next one may now be at
+    /// the head with a free slot. Nobody waiting, no wakeup.
+    fn wake_next(&self, admit: &Condvar) {
+        if self.next_session as u64 > self.admitted {
+            admit.notify_all();
+        }
+    }
 }
 
 /// Live snapshot of the server's counters — the `stats` RPC payload.
@@ -193,7 +148,7 @@ pub struct FleetStats {
     pub active: u64,
     /// Sessions admitted since start.
     pub admitted: u64,
-    /// Callers blocked in the admission gate right now.
+    /// Callers waiting for their admission ticket right now.
     pub waiting: u64,
     /// Checkpoints committed.
     pub cuts: u64,
@@ -248,9 +203,10 @@ pub struct FleetServer {
     fleet: SharedDatasetFleet,
     cfg: ServiceConfig,
     clock: MonotonicClock,
-    gate: AdmissionGate,
     pool: CompressorPool,
     shared: Arc<Mutex<Shared>>,
+    /// Wakes joiners waiting on `shared` for their admission ticket.
+    admit: Condvar,
     wc: Option<WcObs>,
     stop: Arc<AtomicBool>,
     drainer: Option<thread::JoinHandle<()>>,
@@ -316,9 +272,9 @@ impl FleetServer {
             fleet,
             cfg,
             clock,
-            gate: AdmissionGate::new(),
             pool,
             shared,
+            admit: Condvar::new(),
             wc,
             stop,
             drainer: Some(drainer),
@@ -340,13 +296,21 @@ impl FleetServer {
     /// count the adaptive solver amortizes its base time over.
     pub fn join(&self, persona: usize, policy: TenantPolicy, rounds: u64) -> TenantSession<'_> {
         assert!(persona < self.fleet.ranks(), "persona outside the fleet");
-        self.gate.acquire(self.cfg.slots);
         let (id, active) = {
+            // FIFO tickets: wait until every earlier ticket is admitted and
+            // a slot is free. The head is never overtaken and never dropped.
             let mut sh = self.shared.lock().unwrap();
             let id = sh.next_session;
             sh.next_session += 1;
+            while !(sh.admitted == id as u64 && sh.active < self.cfg.slots as u64) {
+                sh = self
+                    .admit
+                    .wait(sh)
+                    .expect("a session panicked holding the shared state");
+            }
             sh.admitted += 1;
             sh.active += 1;
+            sh.wake_next(&self.admit);
             (id, sh.active)
         };
         if let Some(o) = &self.wc {
@@ -375,7 +339,7 @@ impl FleetServer {
             uptime: self.clock.now(),
             active: sh.active,
             admitted: sh.admitted,
-            waiting: self.gate.waiters(),
+            waiting: sh.next_session as u64 - sh.admitted,
             cuts: sh.cuts,
             recoveries: sh.recoveries,
             departures: sh.departures,
@@ -627,11 +591,11 @@ impl TenantSession<'_> {
                 sh.core.retire(&self.core);
             }
             sh.active = sh.active.saturating_sub(1);
+            sh.wake_next(&srv.admit);
             if let Some(o) = &srv.wc {
                 o.active.set(sh.active as f64);
             }
         }
-        srv.gate.release();
         self.released = true;
     }
 }
@@ -662,7 +626,7 @@ impl Drop for TenantSession<'_> {
 ///
 /// Sessions are admitted up front in script order (so tenant job ids — a
 /// digest input — match the simulator's); `cfg.slots` must therefore be
-/// ≥ `scripts.len()`. Admission *contention* is exercised by the gate
+/// ≥ `scripts.len()`. Admission *contention* is exercised by the admission
 /// stress tests instead, where stream equality is not at stake.
 pub fn run_script_wallclock(
     fleet: &SharedDatasetFleet,

@@ -15,7 +15,13 @@
 //! * `aic_ckpt::transport::NetworkTransport` divides link bandwidth by
 //!   [`SharingModel::rate_divisor`] among its in-flight transfers, so the
 //!   discrete-event drain of a single transfer reproduces the closed form
-//!   exactly and `repro fig7` can be driven through the transport.
+//!   exactly.
+//!
+//! `repro fig7` stretches its costs with the closed form. The one
+//! operational measurement of the sharing factor is
+//! `aic_ckpt::fleet::run_fleet` (`repro sharing`), where queueing on one
+//! shared checkpointing core, not an assumed even split, stretches each
+//! transfer.
 //!
 //! The generalisation beyond the paper: with `k ≥ 1` of *our* transfers in
 //! flight plus the `SF − 1` background claimants the model posits, fair

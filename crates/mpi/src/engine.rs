@@ -11,13 +11,12 @@
 //! rate scaled by the rank count — precisely why Fig. 5's MPI curves
 //! degrade with system size while Fig. 6's RMS curves do not.
 
-use aic_ckpt::transport::{LinkConfig, NetworkTransport, WriteBehindConfig};
 use aic_delta::pa::PaParams;
 use aic_delta::stats::CostModel;
 use aic_model::nonstatic::{interval_time_l2l3, optimal_w_budgeted, IntervalParams};
 use aic_model::FailureRates;
 
-use crate::coordinated::{CoordinatedCheckpoint, CoordinatedCheckpointer};
+use crate::coordinated::CoordinatedCheckpointer;
 use crate::job::MpiJob;
 
 /// Engine configuration.
@@ -40,14 +39,6 @@ pub struct MpiEngineConfig {
     pub adaptive: bool,
     /// Dirty pages sampled per rank for the adaptive aggregate estimate.
     pub sample_pages: usize,
-    /// Route every coordinated cut's L3 traffic through one shared
-    /// [`NetworkTransport`]: all ranks' transfers contend for the job's
-    /// aggregate remote bandwidth under fair-share processor sharing, and
-    /// the cut is remotely durable only when the **last** rank's transfer
-    /// lands. Balanced ranks reproduce the per-node closed form exactly;
-    /// skewed ranks make the measured `c3` exceed it (the straggler holds
-    /// more than the mean share). `false` = the static per-node divisor.
-    pub shared_network: bool,
 }
 
 impl MpiEngineConfig {
@@ -62,7 +53,6 @@ impl MpiEngineConfig {
             interval,
             adaptive: false,
             sample_pages: 16,
-            shared_network: false,
         }
     }
 }
@@ -115,71 +105,6 @@ fn params_from(
     IntervalParams::from_measurement(c1, dl, per_node, cfg.b2, cfg.b3)
 }
 
-/// Per-rank L3 payloads of one coordinated checkpoint, in bytes. The
-/// drained message log travels with the coordinator (rank 0).
-fn per_rank_wire_bytes(ckpt: &CoordinatedCheckpoint) -> Vec<u64> {
-    let mut bytes: Vec<u64> = ckpt
-        .per_rank
-        .iter()
-        .map(aic_ckpt::CheckpointFile::wire_len)
-        .collect();
-    let msgs: u64 = ckpt
-        .in_flight
-        .iter()
-        .map(|m| m.payload.len() as u64 + 32)
-        .sum();
-    if let Some(b0) = bytes.first_mut() {
-        *b0 += msgs;
-    }
-    bytes
-}
-
-/// Drain one coordinated cut through the shared network: every rank's
-/// transfer contends for the job's **aggregate** remote bandwidth
-/// (`ranks × b3_per_node`) under fair-share processor sharing, and the
-/// returned time is when the *last* transfer lands — the coordinated
-/// checkpoint is only remotely durable once every rank's share is.
-///
-/// Balanced shares reproduce the per-node closed form bit-for-bit: `k`
-/// equal flows on a `k·b3` link each run at `b3`. Because processor
-/// sharing is work-conserving and every flow starts at the cut, the last
-/// transfer lands at `total / aggregate` even for skewed shares — early
-/// finishers hand their bandwidth to the stragglers. What the transport
-/// adds over the closed form is the *wire* accounting (per-rank framing
-/// plus the drained message log on the coordinator).
-fn shared_drain_seconds(per_rank_bytes: &[u64], b3_per_node: f64) -> f64 {
-    let ranks = per_rank_bytes.len().max(1);
-    let mut t = NetworkTransport::new(
-        LinkConfig::new(b3_per_node * ranks as f64, 0.0, 1.0),
-        WriteBehindConfig::with_depth(ranks),
-    );
-    for (rank, bytes) in per_rank_bytes.iter().enumerate() {
-        t.enqueue(rank as u64, *bytes, 0.0);
-    }
-    t.quiesce().1
-}
-
-/// Interval parameters for one coordinated cut: closed-form per-node
-/// divisor by default, measured shared-network drain when
-/// [`MpiEngineConfig::shared_network`] is set.
-fn cut_params(
-    c1: f64,
-    dl: f64,
-    ckpt: &CoordinatedCheckpoint,
-    stats_ds: u64,
-    ranks: usize,
-    cfg: &MpiEngineConfig,
-) -> IntervalParams {
-    if !cfg.shared_network {
-        return params_from(c1, dl, stats_ds, ranks, cfg);
-    }
-    let per_node = stats_ds as f64 / ranks as f64;
-    let c2 = c1 + dl + per_node / cfg.b2;
-    let drain = shared_drain_seconds(&per_rank_wire_bytes(ckpt), cfg.b3);
-    let c3 = c1 + dl + drain;
-    IntervalParams::symmetric(c1, c2.max(c1), c3.max(c1))
-}
-
 /// Run the job to completion under coordinated checkpointing.
 pub fn run_mpi_engine(mut job: MpiJob, cfg: &MpiEngineConfig) -> MpiReport {
     assert!(cfg.interval > 0.0);
@@ -189,15 +114,8 @@ pub fn run_mpi_engine(mut job: MpiJob, cfg: &MpiEngineConfig) -> MpiReport {
 
     let mut ck = CoordinatedCheckpointer::new(cfg.pa, cfg.cost);
     job.run_until(0.0);
-    let (init_ckpt, init_stats) = ck.initial_cut(&mut job);
-    let initial_params = cut_params(
-        init_stats.c1,
-        0.0,
-        &init_ckpt,
-        init_stats.ds_bytes,
-        ranks,
-        cfg,
-    );
+    let (_, init_stats) = ck.initial_cut(&mut job);
+    let initial_params = params_from(init_stats.c1, 0.0, init_stats.ds_bytes, ranks, cfg);
 
     let mut blocking = init_stats.c1;
     let mut intervals: Vec<MpiIntervalRecord> = Vec::new();
@@ -228,8 +146,8 @@ pub fn run_mpi_engine(mut job: MpiJob, cfg: &MpiEngineConfig) -> MpiReport {
         }
 
         if want {
-            let (ckpt, stats) = ck.cut(&mut job);
-            let params = cut_params(stats.c1, stats.dl, &ckpt, stats.ds_bytes, ranks, cfg);
+            let (_, stats) = ck.cut(&mut job);
+            let params = params_from(stats.c1, stats.dl, stats.ds_bytes, ranks, cfg);
             intervals.push(MpiIntervalRecord {
                 w: elapsed,
                 c1: stats.c1,
@@ -439,75 +357,5 @@ mod tests {
                 pair[0].params.transfer(3)
             );
         }
-    }
-
-    #[test]
-    fn shared_drain_matches_closed_form_for_balanced_shares() {
-        // k equal flows on a k·b3 link each run at exactly b3.
-        let b3 = 2e3;
-        for ranks in [1usize, 2, 4, 8] {
-            let shares = vec![10_000u64; ranks];
-            let drain = shared_drain_seconds(&shares, b3);
-            let closed = 10_000.0 / b3;
-            assert!(
-                (drain - closed).abs() < 1e-9,
-                "ranks={ranks}: drain {drain} vs closed form {closed}"
-            );
-        }
-    }
-
-    #[test]
-    fn shared_drain_is_work_conserving_under_skew() {
-        // Processor sharing with simultaneous arrivals keeps the link
-        // saturated until the last byte: completion = total / aggregate.
-        let b3 = 2e3;
-        let shares = [500u64, 1_500, 4_000];
-        let drain = shared_drain_seconds(&shares, b3);
-        let total: u64 = shares.iter().sum();
-        let expect = total as f64 / (b3 * shares.len() as f64);
-        assert!(
-            (drain - expect).abs() < 1e-9,
-            "drain {drain} vs work-conserving bound {expect}"
-        );
-    }
-
-    #[test]
-    fn shared_network_engine_charges_wire_overhead() {
-        // Same job, with and without the shared-network transport. The
-        // transport drains *wire* bytes (framing + drained message log),
-        // so every measured c3 must be at least the closed-form c3, and
-        // the run still completes with sane accounting.
-        let mut cfg = MpiEngineConfig::testbed(10.0);
-        cfg.b3 = 200e3;
-        let closed = run_mpi_engine(job(3, 60.0), &cfg);
-        cfg.shared_network = true;
-        let shared = run_mpi_engine(job(3, 60.0), &cfg);
-        assert_eq!(shared.cuts, closed.cuts, "same cut schedule");
-        assert!(shared.net2 >= 1.0);
-        for (s, c) in shared
-            .intervals
-            .iter()
-            .zip(closed.intervals.iter())
-            .filter(|(s, _)| s.raw_bytes > 0)
-        {
-            assert!(
-                s.params.transfer(3) + 1e-9 >= c.params.transfer(3),
-                "wire drain {} < payload drain {}",
-                s.params.transfer(3),
-                c.params.transfer(3)
-            );
-        }
-    }
-
-    #[test]
-    fn shared_network_runs_are_deterministic() {
-        let mut cfg = MpiEngineConfig::testbed(10.0);
-        cfg.b3 = 200e3;
-        cfg.shared_network = true;
-        let a = run_mpi_engine(job(3, 60.0), &cfg);
-        let b = run_mpi_engine(job(3, 60.0), &cfg);
-        assert_eq!(a.cuts, b.cuts);
-        assert_eq!(a.net2.to_bits(), b.net2.to_bits());
-        assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits());
     }
 }
