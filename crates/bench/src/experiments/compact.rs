@@ -105,7 +105,7 @@ pub fn run(persona: &str, scale: &RunScale, crash_after: Option<usize>) -> Compa
     let stats = hier.log_stats();
     // Reference images, read from the dead-byte-laden logs.
     let truth: Vec<Snapshot> = (1..=3)
-        .map(|l| hier.recover_from(l).unwrap().snapshot)
+        .map(|l| hier.recover_job(l, cfg.job).unwrap().snapshot)
         .collect();
 
     // Crash a pass mid-copy on every level while reader pins are held:
@@ -122,7 +122,7 @@ pub fn run(persona: &str, scale: &RunScale, crash_after: Option<usize>) -> Compa
                 Err(e) => panic!("L{level} compaction failed: {e}"),
             }
             identical_mid[level - 1] =
-                hier.recover_from(level).unwrap().snapshot == truth[level - 1];
+                hier.recover_job(level, cfg.job).unwrap().snapshot == truth[level - 1];
         }
         hier.unpin_readers(pins);
     }
@@ -138,7 +138,7 @@ pub fn run(persona: &str, scale: &RunScale, crash_after: Option<usize>) -> Compa
             after_bytes: after[level - 1],
             garbage_ratio: stats[level - 1].garbage_ratio,
             identical_mid: identical_mid[level - 1],
-            identical_after: hier.recover_from(level).unwrap().snapshot == truth[level - 1],
+            identical_after: hier.recover_job(level, cfg.job).unwrap().snapshot == truth[level - 1],
         })
         .collect();
 

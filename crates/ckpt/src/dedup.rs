@@ -300,14 +300,6 @@ impl LevelDedup {
         dead
     }
 
-    /// Forget everything (the level's log was wiped by a failure).
-    pub fn reset(&mut self) {
-        self.chunks.clear();
-        self.by_record.clear();
-        // Chunk seqs keep advancing: a reset level re-chunks from a fresh
-        // range so late reads of pre-wipe frames can never alias new data.
-    }
-
     /// Cumulative statistics, with the live-chunk gauges refreshed.
     pub fn stats(&self) -> DedupStats {
         let mut s = self.stats;
@@ -638,18 +630,5 @@ mod tests {
         // The slot's actual occupant still byte-verifies — the backstop
         // rejects the mismatched pairing, not the slot.
         assert!(d.contains_page_hashed(digest, &imposter));
-    }
-
-    #[test]
-    fn reset_forgets_but_keeps_seq_range_fresh() {
-        let mut d = LevelDedup::new();
-        let (p, s) = payload_with_pages(&[13]);
-        let o = d.install(60, &p, &s);
-        let first_seq = o.new_chunks[0].0;
-        d.reset();
-        assert_eq!(d.live_chunks(), 0);
-        let (p2, s2) = payload_with_pages(&[13]);
-        let o2 = d.install(61, &p2, &s2);
-        assert!(o2.new_chunks[0].0 > first_seq, "seq range must not reuse");
     }
 }

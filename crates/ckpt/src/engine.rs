@@ -17,6 +17,11 @@
 //!   run on the checkpointing core and do *not* block (SF=1), exactly the
 //!   paper's concurrency claim; their latency matters only for failure
 //!   exposure (scored through the non-static model) and the core-drain rule.
+//!
+//! A scheduled failure is the fleet core's crash step for one job: the
+//! hierarchy's job-scoped `fail_job` (plus `fail_raid_node` at f2), a
+//! selective `cancel_seqs` of the drains the failure lost, and
+//! `recover_cheapest` from the failure level up.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -127,13 +132,15 @@ impl IntervalRecord {
     }
 }
 
+/// The decision tick, virtual seconds: the engine, `run_fleet` and the
+/// simulated fleet drivers all decide once per tick (the paper uses 1 s).
+pub(crate) const TICK: f64 = 1.0;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Job identifier stamped into checkpoint files.
     pub job: u64,
-    /// Policy decision granularity, virtual seconds (the paper uses 1 s).
-    pub decision_period: f64,
     /// Per-node L2 bandwidth, bytes/s.
     pub b2: f64,
     /// Per-node L3 bandwidth, bytes/s.
@@ -184,12 +191,11 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The paper's testbed defaults: 1-second decisions, Coastal per-node
-    /// bandwidths (B2 ≈ 471.7 MB/s, B3 = 2 MB/s), PA compression, SF = 1.
+    /// The paper's testbed defaults: Coastal per-node bandwidths
+    /// (B2 ≈ 471.7 MB/s, B3 = 2 MB/s), PA compression, SF = 1.
     pub fn testbed(rates: FailureRates) -> Self {
         EngineConfig {
             job: 1,
-            decision_period: 1.0,
             b2: 483.0e9 / 1024.0,
             b3: 2.0e6,
             cost_model: CostModel::default(),
@@ -393,14 +399,15 @@ pub fn run_engine(
 }
 
 /// Run `process` to completion under `policy`, injecting the failures in
-/// `schedule` mid-run. Each fault destroys storage copies per its level
-/// (f1/f2/f3), recovery reads the chain back from the cheapest surviving
-/// level, a degraded RAID group is repaired, and the process resumes from
-/// the restored image (memory + clock + workload control state) — so the
-/// finished run's final memory image is bit-identical to a failure-free
-/// run. After every recovery the next checkpoint is forced to be a *full*
-/// one: the fresh anchor re-baselines all three levels (repopulating a
-/// wiped L1) and garbage-collects the superseded chain prefix.
+/// `schedule` mid-run. Each fault destroys the job's storage copies per its
+/// level (f1/f2/f3), recovery reads the chain back from the cheapest
+/// surviving level at or above it, a degraded RAID group is repaired, and
+/// the process resumes from the restored image (memory + clock + workload
+/// control state) — so the finished run's final memory image is
+/// bit-identical to a failure-free run. After every recovery the next
+/// checkpoint is forced to be a *full* one: the fresh anchor re-baselines
+/// all three levels (repopulating the levels the failure took) and
+/// garbage-collects the superseded chain prefix.
 ///
 /// Requires `config.storage` when `schedule` is non-empty. Returns the
 /// usual report plus one [`FaultEvent`] per injected failure.
@@ -410,7 +417,6 @@ pub fn run_engine_with_faults(
     config: &EngineConfig,
     schedule: &FailureSchedule,
 ) -> Result<(EngineReport, Vec<FaultEvent>), RecoveryError> {
-    assert!(config.decision_period > 0.0);
     assert!(config.sharing_factor >= 1.0);
     assert!(config.cores >= 1, "the pool needs at least one core");
     assert!(
@@ -510,7 +516,7 @@ pub fn run_engine_with_faults(
     let mut stall_offset = 0.0_f64;
 
     loop {
-        let tick = process.now() + SimTime::from_secs(config.decision_period);
+        let tick = process.now() + SimTime::from_secs(TICK);
         process.run_until(tick);
         let now = process.now().as_secs();
         if let Some(o) = &eng_obs {
@@ -534,19 +540,20 @@ pub fn run_engine_with_faults(
             let spec = schedule.specs()[next_fault];
             next_fault += 1;
             let storage = config.storage.as_ref().expect("asserted non-empty");
-            // An f3 takes the write-behind queue down with the node: the
-            // in-flight transfers were fed from the L1/L2 copies that no
-            // longer exist. f1/f2 leave the queue draining (the surviving
-            // replicas still back it).
-            if spec.level == 3 {
-                if let Some(t) = transport.as_mut() {
-                    t.drop_all();
-                }
-            }
             let (img, repair) = {
                 let mut hier = lock_storage(storage)?;
-                hier.inject_failure(spec.level, spec.raid_victim)?;
-                let img = hier.recover()?;
+                // The failure takes the job's copies below its level (an
+                // f2 also a RAID peer) and, at f3, its pending drains: their
+                // in-flight transfers were fed from copies that no longer
+                // exist. f1/f2 leave the queue draining.
+                let lost = hier.fail_job(config.job, spec.level)?;
+                if spec.level == 2 {
+                    hier.fail_raid_node(spec.raid_victim);
+                }
+                if let Some(t) = transport.as_mut() {
+                    t.cancel_seqs(&lost);
+                }
+                let img = hier.recover_cheapest(spec.level, config.job)?;
                 // Rebuild RAID redundancy right away so a later failure
                 // does not find the group already degraded.
                 let repair = hier.repair_raid();
@@ -781,10 +788,17 @@ pub fn run_engine_with_faults(
                         // the shared network. A full anchor supersedes every
                         // queued older drain — cancel them so their slots
                         // back the anchor instead (their parked bytes are
-                        // GC'd when the anchor's own drain acks).
+                        // GC'd when the anchor's own drain acks). The
+                        // engine is its link's only job, so every transfer
+                        // below the anchor is its own.
                         let (receipt, wire) = lock_storage(storage)?.commit_write_behind(&file)?;
                         if file.kind == CheckpointKind::Full {
-                            t.cancel_below(file.seq);
+                            let stale: Vec<u64> = t
+                                .pending_seqs()
+                                .into_iter()
+                                .filter(|&s| s < file.seq)
+                                .collect();
+                            t.cancel_seqs(&stale);
                         }
                         let t_cut = now + stall_offset;
                         let out = t.enqueue(file.seq, wire, t_cut);
@@ -1310,7 +1324,10 @@ mod tests {
         // the remote frontier reaches the newest committed checkpoint.
         let hier = storage.lock().unwrap();
         assert!(hier.pending_remote_seqs().is_empty());
-        assert_eq!(hier.remote_frontier(), hier.committed().last().copied());
+        assert_eq!(
+            hier.remote_frontier_of(wb_cfg.job),
+            hier.committed().last().copied()
+        );
     }
 
     #[test]

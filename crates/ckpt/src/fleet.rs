@@ -17,7 +17,7 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::engine::{
     score_net2, CheckpointPolicy, Compressor, Decision, DecisionCtx, EngineConfig, EngineReport,
-    IntervalRecord,
+    IntervalRecord, TICK,
 };
 
 /// Per-process outcome of a fleet run (an [`EngineReport`] with the shared
@@ -164,16 +164,15 @@ impl SharedDatasetFleet {
 }
 
 /// Run `processes` under their `policies` with one shared checkpointing
-/// core. All processes advance on the same virtual clock in
-/// `config.decision_period` ticks. Only [`Compressor::PaDelta`] is
-/// supported (the fleet exists to study the compression core).
+/// core. All processes advance on the same virtual clock in one-second
+/// decision ticks. Only [`Compressor::PaDelta`] is supported (the fleet
+/// exists to study the compression core).
 pub fn run_fleet(
     processes: Vec<SimProcess>,
     mut policies: Vec<Box<dyn CheckpointPolicy>>,
     config: &EngineConfig,
 ) -> Vec<FleetReport> {
     assert_eq!(processes.len(), policies.len());
-    assert!(config.decision_period > 0.0);
     let pa = match config.compressor {
         Compressor::PaDelta(p) => p,
         _ => PaParams::default(),
@@ -230,7 +229,7 @@ pub fn run_fleet(
             .iter()
             .map(|s| s.process.now().as_secs())
             .fold(0.0, f64::max)
-            + config.decision_period;
+            + TICK;
         for s in &mut slots {
             s.process.run_until(SimTime::from_secs(tick_to));
         }

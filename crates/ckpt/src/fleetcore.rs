@@ -375,8 +375,7 @@ impl FleetCore {
         let (receipt, wire) = self.hier.commit_write_behind(&cut.file)?;
         t.seqs.insert(seq);
         if cut.full {
-            // Selective cancel leaves other tenants' transfers untouched
-            // (the engine's global cancel_below would not).
+            // Selective cancel leaves other tenants' transfers untouched.
             let stale: Vec<u64> = self
                 .transport
                 .pending_seqs()
@@ -398,11 +397,6 @@ impl FleetCore {
             stalled_for: out.stalled_for,
             events: out.events,
         })
-    }
-
-    /// Recover `job` from the cheapest surviving level ≥ `from`.
-    fn recover_from(&self, from: usize, job: u64) -> Option<(usize, RecoveredImage)> {
-        (from..=3).find_map(|lvl| self.hier.recover_job(lvl, job).ok().map(|img| (lvl, img)))
     }
 
     /// The round `img` resumes at, and whether it is bit-identical to the
@@ -431,7 +425,7 @@ impl FleetCore {
     ) -> Result<(RecoveryWindow, Option<RecoveredImage>), RecoveryError> {
         let lost = self.hier.fail_job(t.job, level)?;
         self.transport.cancel_seqs(&lost);
-        let Some((lvl, img)) = self.recover_from(level, t.job) else {
+        let Ok(img) = self.hier.recover_cheapest(level, t.job) else {
             t.round = 0;
             t.has_anchor = false;
             t.cuts_since_full = 0;
@@ -449,6 +443,7 @@ impl FleetCore {
         if !identical {
             self.note_violation();
         }
+        let lvl = img.level.number();
         let pins = self.hier.pin_readers();
         let locs = self
             .hier
@@ -486,8 +481,10 @@ impl FleetCore {
     /// [`retire`](FleetCore::retire) it.
     pub fn leave(&mut self, fleet: &SharedDatasetFleet, t: &TenantCore) -> Departure {
         let verified = self
-            .recover_from(1, t.job)
-            .map(|(_, img)| Self::verify(fleet, t.persona, &img).1);
+            .hier
+            .recover_cheapest(1, t.job)
+            .ok()
+            .map(|img| Self::verify(fleet, t.persona, &img).1);
         if verified == Some(false) {
             self.note_violation();
         }

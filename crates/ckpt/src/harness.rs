@@ -282,7 +282,7 @@ mod tests {
             hier.committed()
         );
         // Recovery replays the bounded suffix, ending at the newest seq.
-        let img = hier.recover().unwrap();
+        let img = hier.recover_cheapest(1, 1).unwrap();
         assert_eq!(img.seq, *hier.committed().last().unwrap());
         // All three levels hold exactly the retained chain, not history.
         for (level, bytes) in out.stored_bytes.iter().enumerate() {
@@ -375,7 +375,7 @@ mod tests {
             let hier = storage.lock().unwrap();
             assert!(hier.pending_remote_seqs().is_empty(), "depth {depth}");
             assert_eq!(
-                hier.remote_frontier(),
+                hier.remote_frontier_of(1),
                 hier.committed().last().copied(),
                 "depth {depth}"
             );

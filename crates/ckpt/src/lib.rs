@@ -22,8 +22,8 @@
 //!   log's liveness + epoch machinery;
 //! * [`failure`] — exponential per-level failure injection;
 //! * [`recovery`] — the multi-level storage hierarchy and restart path:
-//!   commit to L1/L2/L3, inject level-k failures, recover from the
-//!   cheapest surviving copy;
+//!   commit to L1/L2/L3, fail one job's copies at level k, recover the
+//!   job from the cheapest surviving level ≥ k;
 //! * [`engine`] — runs a workload under a pluggable checkpoint *policy*,
 //!   producing per-interval records (`w`, `c1`, `dl`, `ds`, `c2`, `c3`) and
 //!   the run's NET² via the non-static model (Eq. (1)); with a storage

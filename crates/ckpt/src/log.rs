@@ -657,26 +657,6 @@ impl<S: Store> CheckpointLog<S> {
         Ok(total)
     }
 
-    /// Wipe the log: delete every physical segment (addressable and
-    /// retired) and reset the logical state to a fresh active segment.
-    /// Failure injection, not GC — pins are ignored and cleared.
-    pub fn wipe(&mut self) {
-        for &id in self.segments.keys() {
-            self.store.delete(&Self::seg_name(id));
-        }
-        for r in &self.retired {
-            self.store.delete(&Self::seg_name(r.segment));
-        }
-        self.retired.clear();
-        self.segments.clear();
-        self.index.clear();
-        self.pins.clear();
-        let id = self.next_segment;
-        self.next_segment += 1;
-        self.segments.insert(id, SegMeta::empty());
-        self.active = id;
-    }
-
     /// Current statistics.
     pub fn stats(&self) -> LogStats {
         LogStats {
@@ -1148,24 +1128,6 @@ mod tests {
         // Nothing moved, nothing retired.
         assert_eq!(log.stats().retired_segments, 0);
         assert_eq!(log.read(1).unwrap(), payload(500, 61));
-    }
-
-    #[test]
-    fn wipe_clears_physical_and_logical_state() {
-        let mut log = CheckpointLog::new(flat(), 2048);
-        for seq in 0..5 {
-            log.append(seq, CheckpointKind::Incremental, &payload(600, seq + 70));
-        }
-        log.mark_dead_before(3);
-        log.compact(None).unwrap();
-        log.wipe();
-        assert_eq!(log.store().stored_bytes(), 0);
-        assert_eq!(log.stats().live_records, 0);
-        assert!(log.read(4).is_none());
-        // Post-wipe appends land at offset 0 of a fresh segment.
-        let (loc, _) = log.append(9, CheckpointKind::Full, &payload(100, 77));
-        assert_eq!(loc.offset, 0);
-        assert_eq!(log.read(9).unwrap(), payload(100, 77));
     }
 
     #[test]

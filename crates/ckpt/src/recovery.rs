@@ -15,13 +15,17 @@
 //! ([`StorageHierarchy::pin_readers`]) never observes a segment freed
 //! under it, even when a compaction pass runs (or crashes) mid-recovery.
 //!
-//! Failure semantics (paper Section III.A):
+//! Failure semantics (paper Section III.A): a level-k failure destroys the
+//! job's copies below level k ([`StorageHierarchy::fail_job`]), and the
+//! job recovers from the cheapest level ≥ k that still serves its chain
+//! ([`StorageHierarchy::recover_cheapest`]):
 //!
 //! * **f1** (transient): nothing is lost — recover from the local disk;
-//! * **f2** (partial node failure): the local disk of the failed node is
-//!   gone and one RAID peer may be down — recover from the (possibly
+//! * **f2** (partial node failure): the job's local-disk records are gone
+//!   and one RAID peer may be down with the node
+//!   ([`StorageHierarchy::fail_raid_node`]) — recover from the (possibly
 //!   degraded) RAID group;
-//! * **f3** (total node failure): local disk and the node's RAID share are
+//! * **f3** (total node failure): the job's local and RAID records are
 //!   gone — recover from remote storage.
 //!
 //! Every **full** checkpoint is a *chain anchor*: restart only ever replays
@@ -47,9 +51,9 @@
 //!   only truncate the **L3** prefix once its *own* drain is acknowledged —
 //!   until then L3 keeps serving the superseded chain (the degraded-commit
 //!   path);
-//! * an **f3** failure loses the pending queue with the node (there is no
-//!   surviving replica to drain from), so L3 recovery replays the longest
-//!   *contiguous acknowledged prefix* of the chain; f1/f2 keep the queue
+//! * an **f3** failure loses the job's pending drains with the node (there
+//!   is no surviving replica to drain from), so L3 recovery replays the
+//!   longest *contiguous acknowledged prefix* of the chain; f1/f2 keep them
 //!   (the drain resumes from the surviving L1/L2 copies);
 //! * sequence numbers still strictly increase across both commit paths
 //!   (acks may land out of order — the log's index is seq-keyed, so a
@@ -83,6 +87,15 @@ pub enum RecoveryLevel {
 }
 
 impl RecoveryLevel {
+    /// The level's number: 1 (local), 2 (RAID) or 3 (remote).
+    pub fn number(self) -> usize {
+        match self {
+            RecoveryLevel::Local => 1,
+            RecoveryLevel::Raid => 2,
+            RecoveryLevel::Remote => 3,
+        }
+    }
+
     /// Static label for metrics and span fields.
     pub fn label(self) -> &'static str {
         match self {
@@ -807,27 +820,9 @@ impl StorageHierarchy {
             .sum()
     }
 
-    /// Newest sequence number any job's contiguous remotely durable prefix
-    /// reaches — what an f3 failure right now would recover to. `None`
-    /// while nothing (or only a gapped suffix) is acknowledged. Contiguity
-    /// is per job, matching the recovery and gap-cut semantics.
-    pub fn remote_frontier(&self) -> Option<u64> {
-        let mut stopped = std::collections::HashSet::new();
-        let mut newest = None;
-        for e in &self.committed {
-            if stopped.contains(&e.job) {
-                continue;
-            }
-            if e.l3_durable {
-                newest = Some(e.seq);
-            } else {
-                stopped.insert(e.job);
-            }
-        }
-        newest
-    }
-
-    /// [`StorageHierarchy::remote_frontier`] scoped to one job's chain.
+    /// Newest sequence number `job`'s contiguous remotely durable prefix
+    /// reaches — what an f3 failure of the job right now would recover to.
+    /// `None` while nothing (or only a gapped suffix) is acknowledged.
     pub fn remote_frontier_of(&self, job: u64) -> Option<u64> {
         self.committed
             .iter()
@@ -927,84 +922,15 @@ impl StorageHierarchy {
         (a.0 + b.0 + c.0, a.1 + b.1 + c.1)
     }
 
-    /// Inject a failure: destroy the copies that level-k failures destroy.
-    /// `raid_victim` selects which RAID node a partial failure takes down.
-    /// A level outside 1..=3 is rejected as [`RecoveryError::BadLevel`]
-    /// without destroying anything.
-    pub fn inject_failure(
-        &mut self,
-        level: usize,
-        raid_victim: usize,
-    ) -> Result<(), RecoveryError> {
-        match level {
-            1 => {} // transient: nothing durable is lost
-            2 => {
-                // Partial node failure: local disk contents of the failed
-                // node are unavailable; one RAID peer goes down with it.
-                // The peer's disk dies with it: its chunks are genuinely
-                // lost, so the eventual repair rebuilds (and bills) them.
-                self.local.wipe();
-                let victim = raid_victim % self.raid.store().node_count();
-                self.raid.store_mut().fail_node_losing_data(victim);
-            }
-            3 => {
-                // Total node failure: local disk gone and the RAID group's
-                // data for this job is lost with the node's share — and so
-                // is the write-behind queue, whose drains were fed from
-                // those copies. Entries that never reached L3 are lost for
-                // good; the chain is cut back to what was acknowledged.
-                self.local.wipe();
-                self.raid.wipe();
-                // The RAID chunk index died with the group's data; chunk
-                // seqs keep advancing so stale frames can never alias.
-                if let Some(dd) = &mut self.dedup {
-                    dd.raid.reset();
-                }
-                let dropped = self.pending_remote.len();
-                self.pending_remote.clear();
-                // Only each job's *contiguous* acknowledged prefix is
-                // usable: an acknowledged delta whose base never drained
-                // can only be orphaned, so it is collected along with the
-                // pending tail — and its dedup references go with it.
-                // Contiguity is per job: one job's gap must not cut another
-                // job's acknowledged suffix.
-                let mut stopped = std::collections::HashSet::new();
-                let mut orphans = Vec::new();
-                self.committed.retain(|e| {
-                    if !stopped.contains(&e.job) && e.l3_durable {
-                        return true;
-                    }
-                    stopped.insert(e.job);
-                    orphans.push(e.seq);
-                    false
-                });
-                if self.retire(&orphans, 3..=3).1 {
-                    // The gap-cut must free the orphans now — an f3 restart
-                    // reads only the acknowledged prefix, and nothing pins
-                    // the dead suffix (the node that might have is gone).
-                    if self.remote.compact(None).is_ok() {
-                        self.remote.try_reclaim();
-                    }
-                }
-                if let Some(obs) = &self.obs {
-                    obs.wb_dropped.add(dropped as u64);
-                }
-            }
-            other => return Err(RecoveryError::BadLevel(other)),
-        }
-        Ok(())
-    }
-
-    /// Destroy one tenant's copies the way a level-`level` failure on
-    /// *its* node would, leaving every other job untouched — the
-    /// per-tenant analogue of [`StorageHierarchy::inject_failure`] for a
-    /// shared hierarchy:
+    /// Destroy one job's copies the way a level-`level` failure on *its*
+    /// node would, leaving every other job untouched — the one failure
+    /// step, whether the hierarchy serves one job or a fleet of tenants:
     ///
     /// * **f1**: transient — nothing durable is lost;
-    /// * **f2**: the tenant's local-disk records are gone (its L1 marks go
-    ///   dead); the RAID group itself stays healthy for the other tenants,
-    ///   so the job recovers from L2;
-    /// * **f3**: the tenant's L1 and L2 records are gone, its pending
+    /// * **f2**: the job's local-disk records are gone (its L1 marks go
+    ///   dead), so the job recovers from L2. A RAID peer that goes down
+    ///   with the node is [`Self::fail_raid_node`]'s to model;
+    /// * **f3**: the job's L1 and L2 records are gone, its pending
     ///   write-behind drains die with the node, and its remote chain is
     ///   gap-cut back to its *own* contiguous acknowledged prefix — other
     ///   jobs' acknowledged records are untouched.
@@ -1062,6 +988,15 @@ impl StorageHierarchy {
         }
     }
 
+    /// Take RAID node `victim` (reduced modulo the group size) down with
+    /// its disk — the peer an f2 takes with the failed node. Its chunks are
+    /// genuinely lost, so L2 reads run degraded until
+    /// [`Self::repair_raid`] rebuilds (and bills) them.
+    pub fn fail_raid_node(&mut self, victim: usize) {
+        let victim = victim % self.raid.store().node_count();
+        self.raid.store_mut().fail_node_losing_data(victim);
+    }
+
     /// Retire a departed tenant: every record it still holds on any level
     /// is marked dead (dedup chunks follow their refcounts), its pending
     /// drains are dropped, and each level compacts per policy — so a
@@ -1113,79 +1048,35 @@ impl StorageHierarchy {
         self.raid.store_mut().repair_node()
     }
 
-    /// Re-commit the current chain to L1 from another surviving level —
-    /// how a replacement node repopulates its local disk after recovery.
-    /// Returns the bytes written back.
-    pub fn repopulate_local(&mut self) -> u64 {
-        let mut bytes = 0;
-        let entries: Vec<CommittedEntry> = self.committed.clone();
-        for e in entries {
-            if !e.l12_live {
-                // Superseded by an anchor: only L3 still needs it (until
-                // the anchor's drain acks); resurrecting it on L1 would
-                // corrupt the local replay order.
-                continue;
-            }
-            if self.local.read(e.seq).is_some() {
-                continue;
-            }
-            // L2/L3 records may be dedup reference frames — resolve them
-            // back to the plain payload; L1 always stores records raw.
-            let Some(data) = read_resolved(&self.raid, e.seq)
-                .or_else(|| read_resolved(&self.remote, e.seq))
-                .map(|(b, _, _)| b)
-            else {
-                continue;
-            };
-            bytes += data.len() as u64;
-            self.local.append(e.seq, e.kind, &data);
+    /// Recover `job`'s newest image from the cheapest level ≥ `from` that
+    /// still serves its whole chain — after a level-k failure, `from` is k.
+    /// When no level does, the last level's error is returned.
+    pub fn recover_cheapest(&self, from: usize, job: u64) -> Result<RecoveredImage, RecoveryError> {
+        if !(1..=3).contains(&from) {
+            return Err(RecoveryError::BadLevel(from));
         }
-        bytes
+        let mut res = self.recover_job(from, job);
+        for level in from + 1..=3 {
+            if res.is_ok() {
+                break;
+            }
+            res = self.recover_job(level, job);
+        }
+        res
     }
 
-    /// Recover the newest image reading from the cheapest level that still
-    /// serves the whole chain: L1, then (possibly degraded) L2, then L3.
-    pub fn recover(&self) -> Result<RecoveredImage, RecoveryError> {
-        if self.committed.is_empty() {
-            return Err(RecoveryError::NothingCommitted);
-        }
-        let mut last_err = RecoveryError::NothingCommitted;
-        for level in 1..=3 {
-            match self.recover_from(level) {
-                Ok(img) => return Ok(img),
-                Err(e) => last_err = e,
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Recover the newest image from the log backing failure level
-    /// `level` (1 = local, 2 = RAID, 3 = remote), replaying from the latest
-    /// full-checkpoint anchor only.
+    /// Recover `job`'s newest image from the log backing failure level
+    /// `level` (1 = local, 2 = RAID, 3 = remote), replaying from the job's
+    /// latest full-checkpoint anchor only. Other jobs' interleaved records
+    /// (and the chunks their frames reference) are invisible.
     ///
     /// L1/L2 serve every live entry (write-behind makes an interval locally
     /// durable the moment it commits). L3 serves only the longest
-    /// **contiguous acknowledged prefix** of the chain: a pending drain has
-    /// no remote record, and anything after the first gap has no base to
-    /// replay onto — the degraded-commit path loses exactly the un-drained
-    /// tail.
-    pub fn recover_from(&self, level: usize) -> Result<RecoveredImage, RecoveryError> {
-        self.recover_inner(level, None)
-    }
-
-    /// [`StorageHierarchy::recover_from`] scoped to one job's chain — the
-    /// per-tenant recovery path when several jobs share a hierarchy. Only
-    /// `job`'s records are replayed; other tenants' interleaved records
-    /// (and the chunks their frames reference) are invisible.
+    /// **contiguous acknowledged prefix** of the job's chain: a pending
+    /// drain has no remote record, and anything after the first gap has no
+    /// base to replay onto — the degraded-commit path loses exactly the
+    /// un-drained tail.
     pub fn recover_job(&self, level: usize, job: u64) -> Result<RecoveredImage, RecoveryError> {
-        self.recover_inner(level, Some(job))
-    }
-
-    fn recover_inner(
-        &self,
-        level: usize,
-        job: Option<u64>,
-    ) -> Result<RecoveredImage, RecoveryError> {
         if self.committed.is_empty() {
             return Err(RecoveryError::NothingCommitted);
         }
@@ -1195,33 +1086,13 @@ impl StorageHierarchy {
             3 => RecoveryLevel::Remote,
             other => return Err(RecoveryError::BadLevel(other)),
         };
+        let owned = self.committed.iter().filter(|e| e.job == job);
         let visible: Vec<&CommittedEntry> = match recovery_level {
-            RecoveryLevel::Local | RecoveryLevel::Raid => self
-                .committed
-                .iter()
-                .filter(|e| e.l12_live && job.is_none_or(|j| e.job == j))
-                .collect(),
-            // L3 serves each job's own contiguous acknowledged prefix: a
-            // job's chain ends at *its* first un-acked record. Contiguity
-            // is per job, not global — tenant B's pending drain must not
-            // truncate tenant A's acknowledged prefix when several jobs
-            // share the hierarchy.
-            RecoveryLevel::Remote => {
-                let mut stopped = std::collections::HashSet::new();
-                self.committed
-                    .iter()
-                    .filter(|e| {
-                        if stopped.contains(&e.job) {
-                            return false;
-                        }
-                        if !e.l3_durable {
-                            stopped.insert(e.job);
-                            return false;
-                        }
-                        job.is_none_or(|j| e.job == j)
-                    })
-                    .collect()
-            }
+            RecoveryLevel::Local | RecoveryLevel::Raid => owned.filter(|e| e.l12_live).collect(),
+            // L3 serves the job's own contiguous acknowledged prefix: its
+            // chain ends at *its* first un-acked record, whatever other
+            // tenants sharing the hierarchy have pending.
+            RecoveryLevel::Remote => owned.take_while(|e| e.l3_durable).collect(),
         };
         let Some(newest) = visible.last() else {
             return Err(RecoveryError::BadObject(format!(
@@ -1363,8 +1234,8 @@ mod tests {
     #[test]
     fn f1_recovers_from_local() {
         let (mut h, truth) = committed_hierarchy();
-        h.inject_failure(1, 0).unwrap();
-        let img = h.recover_from(1).unwrap();
+        h.fail_job(1, 1).unwrap();
+        let img = h.recover_job(1, 1).unwrap();
         assert_eq!(img.level, RecoveryLevel::Local);
         assert_eq!(img.snapshot, truth);
         assert_eq!(img.seq, 2);
@@ -1374,14 +1245,15 @@ mod tests {
     #[test]
     fn f2_recovers_from_degraded_raid() {
         let (mut h, truth) = committed_hierarchy();
-        h.inject_failure(2, 1).unwrap();
+        h.fail_job(1, 2).unwrap();
+        h.fail_raid_node(1);
         // Local is gone.
         assert!(matches!(
-            h.recover_from(1),
+            h.recover_job(1, 1),
             Err(RecoveryError::BadObject(_))
         ));
         // Degraded RAID still serves.
-        let img = h.recover_from(2).unwrap();
+        let img = h.recover_job(2, 1).unwrap();
         assert_eq!(img.level, RecoveryLevel::Raid);
         assert_eq!(img.snapshot, truth);
         assert!(img.degraded);
@@ -1390,10 +1262,10 @@ mod tests {
     #[test]
     fn f3_recovers_from_remote_only() {
         let (mut h, truth) = committed_hierarchy();
-        h.inject_failure(3, 0).unwrap();
-        assert!(h.recover_from(1).is_err());
-        assert!(h.recover_from(2).is_err());
-        let img = h.recover_from(3).unwrap();
+        h.fail_job(1, 3).unwrap();
+        assert!(h.recover_job(1, 1).is_err());
+        assert!(h.recover_job(2, 1).is_err());
+        let img = h.recover_job(3, 1).unwrap();
         assert_eq!(img.level, RecoveryLevel::Remote);
         assert_eq!(img.snapshot, truth);
         // Remote reads are slow: 2 MB/s.
@@ -1403,19 +1275,20 @@ mod tests {
     #[test]
     fn recover_probes_cheapest_surviving_level() {
         let (h, truth) = committed_hierarchy();
-        let img = h.recover().unwrap();
+        let img = h.recover_cheapest(1, 1).unwrap();
         assert_eq!(img.level, RecoveryLevel::Local);
         assert_eq!(img.snapshot, truth);
 
         let (mut h, truth) = committed_hierarchy();
-        h.inject_failure(2, 0).unwrap();
-        let img = h.recover().unwrap();
+        h.fail_job(1, 2).unwrap();
+        h.fail_raid_node(0);
+        let img = h.recover_cheapest(1, 1).unwrap();
         assert_eq!(img.level, RecoveryLevel::Raid);
         assert_eq!(img.snapshot, truth);
 
         let (mut h, truth) = committed_hierarchy();
-        h.inject_failure(3, 0).unwrap();
-        let img = h.recover().unwrap();
+        h.fail_job(1, 3).unwrap();
+        let img = h.recover_cheapest(1, 1).unwrap();
         assert_eq!(img.level, RecoveryLevel::Remote);
         assert_eq!(img.snapshot, truth);
     }
@@ -1423,9 +1296,9 @@ mod tests {
     #[test]
     fn read_cost_comes_from_store_models() {
         let (h, _) = committed_hierarchy();
-        let local = h.recover_from(1).unwrap().read_seconds;
-        let raid = h.recover_from(2).unwrap().read_seconds;
-        let remote = h.recover_from(3).unwrap().read_seconds;
+        let local = h.recover_job(1, 1).unwrap().read_seconds;
+        let raid = h.recover_job(2, 1).unwrap().read_seconds;
+        let remote = h.recover_job(3, 1).unwrap().read_seconds;
         // Coastal models: remote is by far the slowest channel.
         assert!(remote > local, "remote {remote} vs local {local}");
         assert!(local > 0.0 && raid > 0.0);
@@ -1447,9 +1320,9 @@ mod tests {
             let full = Snapshot::from_pages([(0, page(1)), (1, page(2)), (2, page(3))]);
             h.commit(&CheckpointFile::full(1, 0, full, Bytes::new()))
                 .unwrap();
-            h.recover_from(1).unwrap().read_seconds
+            h.recover_job(1, 1).unwrap().read_seconds
         };
-        let slow_local = slow.recover_from(1).unwrap().read_seconds;
+        let slow_local = slow.recover_job(1, 1).unwrap().read_seconds;
         assert!(
             slow_local > 10.0 * fast_local,
             "slow {slow_local} fast {fast_local}"
@@ -1459,10 +1332,11 @@ mod tests {
     #[test]
     fn degraded_raid_read_costs_more_than_healthy() {
         let (h, _) = committed_hierarchy();
-        let healthy = h.recover_from(2).unwrap().read_seconds;
+        let healthy = h.recover_job(2, 1).unwrap().read_seconds;
         let (mut h, _) = committed_hierarchy();
-        h.inject_failure(2, 0).unwrap();
-        let degraded = h.recover_from(2).unwrap().read_seconds;
+        h.fail_job(1, 2).unwrap();
+        h.fail_raid_node(0);
+        let degraded = h.recover_job(2, 1).unwrap().read_seconds;
         assert!(degraded > healthy, "degraded {degraded} healthy {healthy}");
     }
 
@@ -1488,7 +1362,7 @@ mod tests {
         }
 
         // Recovery replays only the anchor.
-        let img = h.recover().unwrap();
+        let img = h.recover_cheapest(1, 1).unwrap();
         assert_eq!(img.seq, 3);
         assert_eq!(img.snapshot, anchor);
     }
@@ -1514,7 +1388,7 @@ mod tests {
         for (lvl, (b, a)) in before.iter().zip(after.iter()).enumerate() {
             assert!(a < b, "level {lvl} did not shrink: {b} -> {a}");
         }
-        assert_eq!(h.recover().unwrap().snapshot, anchor);
+        assert_eq!(h.recover_cheapest(1, 1).unwrap().snapshot, anchor);
     }
 
     #[test]
@@ -1524,7 +1398,7 @@ mod tests {
             auto: false,
             garbage_threshold: 0.5,
         });
-        let before = h.recover().unwrap().snapshot;
+        let before = h.recover_cheapest(1, 1).unwrap().snapshot;
         assert_eq!(before, truth);
 
         // Mid-flight: a compaction pass crashes after one record copy
@@ -1534,7 +1408,7 @@ mod tests {
             h.compact_level(1, Some(1)).unwrap_err(),
             RecoveryError::CompactionCrashed
         );
-        let during = h.recover().unwrap();
+        let during = h.recover_cheapest(1, 1).unwrap();
         assert_eq!(during.snapshot, truth, "mid-compaction recovery drifted");
         assert_eq!(during.level, RecoveryLevel::Local);
         h.unpin_readers(pins);
@@ -1542,7 +1416,7 @@ mod tests {
         // After a clean pass (and reclaim), still identical.
         h.compact().unwrap();
         h.try_reclaim_all();
-        let after = h.recover().unwrap();
+        let after = h.recover_cheapest(1, 1).unwrap();
         assert_eq!(after.snapshot, truth, "post-compaction recovery drifted");
     }
 
@@ -1577,23 +1451,14 @@ mod tests {
     #[test]
     fn raid_repair_restores_redundancy() {
         let (mut h, truth) = committed_hierarchy();
-        h.inject_failure(2, 0).unwrap();
+        h.fail_job(1, 2).unwrap();
+        h.fail_raid_node(0);
         let r = h.repair_raid();
         assert!(r.bytes > 0);
         // A second, different node can now fail and RAID still serves.
-        h.inject_failure(2, 2).unwrap();
-        let img = h.recover_from(2).unwrap();
-        assert_eq!(img.snapshot, truth);
-    }
-
-    #[test]
-    fn repopulate_local_restores_l1_after_wipe() {
-        let (mut h, truth) = committed_hierarchy();
-        h.inject_failure(3, 0).unwrap();
-        assert!(h.recover_from(1).is_err());
-        let written = h.repopulate_local();
-        assert!(written > 0);
-        let img = h.recover_from(1).unwrap();
+        h.fail_job(1, 2).unwrap();
+        h.fail_raid_node(2);
+        let img = h.recover_job(2, 1).unwrap();
         assert_eq!(img.snapshot, truth);
     }
 
@@ -1617,7 +1482,7 @@ mod tests {
             Bytes::from_static(b"new"),
         ))
         .unwrap();
-        let img = h.recover().unwrap();
+        let img = h.recover_cheapest(1, 1).unwrap();
         assert_eq!(&img.cpu_state[..], b"new");
     }
 
@@ -1625,10 +1490,13 @@ mod tests {
     fn empty_hierarchy_reports_nothing_committed() {
         let h = StorageHierarchy::coastal(3);
         assert_eq!(
-            h.recover_from(1).unwrap_err(),
+            h.recover_job(1, 1).unwrap_err(),
             RecoveryError::NothingCommitted
         );
-        assert_eq!(h.recover().unwrap_err(), RecoveryError::NothingCommitted);
+        assert_eq!(
+            h.recover_cheapest(1, 1).unwrap_err(),
+            RecoveryError::NothingCommitted
+        );
     }
 
     #[test]
@@ -1655,24 +1523,24 @@ mod tests {
     fn unknown_injection_level_is_a_typed_error_and_destroys_nothing() {
         let (mut h, truth) = committed_hierarchy();
         let before = h.stored_bytes();
-        assert_eq!(
-            h.inject_failure(0, 0).unwrap_err(),
-            RecoveryError::BadLevel(0)
-        );
-        assert_eq!(
-            h.inject_failure(4, 1).unwrap_err(),
-            RecoveryError::BadLevel(4)
-        );
+        assert_eq!(h.fail_job(1, 0).unwrap_err(), RecoveryError::BadLevel(0));
+        assert_eq!(h.fail_job(1, 4).unwrap_err(), RecoveryError::BadLevel(4));
         assert_eq!(h.stored_bytes(), before, "rejected injection wiped data");
-        assert_eq!(h.recover().unwrap().snapshot, truth);
+        assert_eq!(h.recover_cheapest(1, 1).unwrap().snapshot, truth);
     }
 
     #[test]
     fn unknown_recovery_level_is_a_typed_error() {
         let (h, _) = committed_hierarchy();
-        let err = h.recover_from(7).unwrap_err();
+        let err = h.recover_job(7, 1).unwrap_err();
         assert_eq!(err, RecoveryError::BadLevel(7));
         assert!(err.to_string().contains("unknown failure level 7"));
+        // The cheapest-level probe rejects a bad starting level the same
+        // way instead of probing the valid levels around it.
+        for from in [0, 4] {
+            let err = h.recover_cheapest(from, 1).unwrap_err();
+            assert_eq!(err, RecoveryError::BadLevel(from));
+        }
     }
 
     #[test]
@@ -1708,11 +1576,11 @@ mod tests {
         data[mid] ^= 0xFF;
         h.local.store_mut().put(seg, Bytes::from(data));
         assert!(matches!(
-            h.recover_from(1),
+            h.recover_job(1, 1),
             Err(RecoveryError::BadObject(_))
         ));
         // The probing recover() falls through to a healthy level.
-        assert!(h.recover().is_ok());
+        assert!(h.recover_cheapest(1, 1).is_ok());
     }
 
     /// Full(0) committed synchronously, incremental(1) committed
@@ -1744,13 +1612,13 @@ mod tests {
     fn write_behind_is_locally_durable_before_the_ack() {
         let (h, truth) = write_behind_hierarchy();
         // L1 and L2 already serve the newest interval...
-        assert_eq!(h.recover_from(1).unwrap().snapshot, truth);
-        assert_eq!(h.recover_from(2).unwrap().snapshot, truth);
+        assert_eq!(h.recover_job(1, 1).unwrap().snapshot, truth);
+        assert_eq!(h.recover_job(2, 1).unwrap().snapshot, truth);
         // ...but L3 only serves the acknowledged prefix (the initial full).
-        let img = h.recover_from(3).unwrap();
+        let img = h.recover_job(3, 1).unwrap();
         assert_eq!(img.seq, 0);
         assert_eq!(h.pending_remote_seqs(), vec![1]);
-        assert_eq!(h.remote_frontier(), Some(0));
+        assert_eq!(h.remote_frontier_of(1), Some(0));
         assert!(h.pending_remote_bytes() > 0);
     }
 
@@ -1760,11 +1628,11 @@ mod tests {
         let ack = h.ack_remote(1).unwrap();
         assert!(ack.remote.bytes > 0);
         assert_eq!(ack.truncated, 0, "non-anchor acks must not GC");
-        let img = h.recover_from(3).unwrap();
+        let img = h.recover_job(3, 1).unwrap();
         assert_eq!(img.seq, 1);
         assert_eq!(img.snapshot, truth);
         assert!(h.pending_remote_seqs().is_empty());
-        assert_eq!(h.remote_frontier(), Some(1));
+        assert_eq!(h.remote_frontier_of(1), Some(1));
         // Double-ack (or an unknown seq) is a typed error.
         assert!(matches!(h.ack_remote(1), Err(RecoveryError::BadObject(_))));
         assert!(matches!(h.ack_remote(99), Err(RecoveryError::BadObject(_))));
@@ -1782,11 +1650,11 @@ mod tests {
         // L1/L2 prefix collected immediately: local restarts replay only
         // the anchor.
         assert_eq!(r.truncated, 2);
-        assert_eq!(h.recover_from(1).unwrap().snapshot, anchor);
-        assert_eq!(h.recover_from(2).unwrap().snapshot, anchor);
+        assert_eq!(h.recover_job(1, 1).unwrap().snapshot, anchor);
+        assert_eq!(h.recover_job(2, 1).unwrap().snapshot, anchor);
         // L3 untouched: the superseded chain is the only remotely durable
         // image until the anchor's drain is acknowledged.
-        let img = h.recover_from(3).unwrap();
+        let img = h.recover_job(3, 1).unwrap();
         assert_eq!(img.seq, 1);
         assert_eq!(img.snapshot, old_truth);
         assert_eq!(h.committed(), vec![0, 1, 2]);
@@ -1795,7 +1663,7 @@ mod tests {
         let ack = h.ack_remote(2).unwrap();
         assert_eq!(ack.truncated, 2);
         assert_eq!(h.committed(), vec![2]);
-        let img = h.recover_from(3).unwrap();
+        let img = h.recover_job(3, 1).unwrap();
         assert_eq!(img.seq, 2);
         assert_eq!(img.snapshot, anchor);
     }
@@ -1803,11 +1671,11 @@ mod tests {
     #[test]
     fn f3_mid_drain_recovers_the_acknowledged_prefix() {
         let (mut h, _) = write_behind_hierarchy();
-        h.inject_failure(3, 0).unwrap();
+        h.fail_job(1, 3).unwrap();
         // The pending interval died with the node; the chain is cut back.
         assert!(h.pending_remote_seqs().is_empty());
         assert_eq!(h.committed(), vec![0]);
-        let img = h.recover().unwrap();
+        let img = h.recover_cheapest(1, 1).unwrap();
         assert_eq!(img.level, RecoveryLevel::Remote);
         assert_eq!(img.seq, 0);
     }
@@ -1832,28 +1700,29 @@ mod tests {
         // The smaller/later transfer acked first: 2 is remotely durable
         // but its base 1 is not — the frontier stays at the full.
         h.ack_remote(2).unwrap();
-        assert_eq!(h.remote_frontier(), Some(0));
+        assert_eq!(h.remote_frontier_of(1), Some(0));
         let l3_before = h.stored_bytes()[2];
-        h.inject_failure(3, 0).unwrap();
+        h.fail_job(1, 3).unwrap();
         // The orphaned record after the gap is collected with the tail:
         // the gap-cut marks it dead and compacts the remote log.
         assert_eq!(h.committed(), vec![0]);
         assert!(h.stored_bytes()[2] < l3_before);
-        assert_eq!(h.recover().unwrap().seq, 0);
+        assert_eq!(h.recover_cheapest(1, 1).unwrap().seq, 0);
     }
 
     #[test]
     fn f2_keeps_the_pending_queue_alive() {
         let (mut h, truth) = write_behind_hierarchy();
-        h.inject_failure(2, 0).unwrap();
+        h.fail_job(1, 2).unwrap();
+        h.fail_raid_node(0);
         // RAID (degraded) still serves the locally durable interval and
         // the drain can still complete from the surviving copies.
-        let img = h.recover().unwrap();
+        let img = h.recover_cheapest(1, 1).unwrap();
         assert_eq!(img.level, RecoveryLevel::Raid);
         assert_eq!(img.snapshot, truth);
         assert_eq!(h.pending_remote_seqs(), vec![1]);
         h.ack_remote(1).unwrap();
-        assert_eq!(h.recover_from(3).unwrap().seq, 1);
+        assert_eq!(h.recover_job(3, 1).unwrap().seq, 1);
     }
 
     #[test]
@@ -1866,7 +1735,7 @@ mod tests {
         // pending drain of seq 1 will never be needed.
         assert!(h.pending_remote_seqs().is_empty());
         assert_eq!(h.committed(), vec![2]);
-        assert_eq!(h.recover_from(3).unwrap().snapshot, anchor);
+        assert_eq!(h.recover_job(3, 1).unwrap().snapshot, anchor);
     }
 
     #[test]
@@ -1889,7 +1758,7 @@ mod tests {
             .unwrap();
         }
         h.ack_remote(1).unwrap();
-        h.inject_failure(3, 0).unwrap();
+        h.fail_job(1, 3).unwrap();
         let snap = obs.metrics.snapshot();
         assert_eq!(snap.counter("storage.wb_commits"), Some(3));
         assert_eq!(snap.counter("storage.wb_acks"), Some(1));
@@ -1943,8 +1812,9 @@ mod tests {
 
         // A degraded RAID recovery bumps both recovery counters; the wiped
         // L1 is probed but serves no bytes.
-        h.inject_failure(2, 0).unwrap();
-        let img = h.recover().unwrap();
+        h.fail_job(1, 2).unwrap();
+        h.fail_raid_node(0);
+        let img = h.recover_cheapest(1, 1).unwrap();
         assert_eq!(img.level.label(), "raid");
         let snap = obs.metrics.snapshot();
         assert_eq!(snap.counter("storage.recoveries"), Some(1));
@@ -2123,13 +1993,14 @@ mod tests {
         // Two tenants share a 4-content page pool, so their chunks
         // cross-reference. Any interleaving of put (sync and write-behind
         // anchors), reference, mark-dead (anchor truncation + deferred ack
-        // truncation), compact, and reclaim must keep every tenant's chain
-        // byte-identical — in particular no chunk may be reclaimed while
-        // another tenant's frame still references it, and pinned readers
-        // must see identical images across a compaction + reclaim.
+        // truncation), compact, reclaim, and one tenant's node failure must
+        // keep every tenant's chain byte-identical — in particular no chunk
+        // may be reclaimed while another tenant's frame still references
+        // it, and pinned readers must see identical images across a
+        // compaction + reclaim.
         #[test]
         fn dedup_interleavings_keep_tenant_chains_byte_identical(
-            ops in prop_vec((0u8..8, 0u8..4, 0u8..4), 6..32)
+            ops in prop_vec((0u8..9, 0u8..4, 0u8..4), 6..32)
         ) {
             let mut h = fine_hierarchy();
             h.enable_dedup();
@@ -2194,6 +2065,34 @@ mod tests {
                             }
                         }
                         h.unpin_readers(pins);
+                    }
+                    // Tenant t's node fails at level 1–3 (an f2 also takes
+                    // a RAID peer, rebuilt at once). The neighbour's L3
+                    // image must not move; an f3 leaves t without an L2
+                    // image until its next anchor.
+                    8 => {
+                        let t = (a % 2) as usize;
+                        let level = 1 + (b % 3) as usize;
+                        let neighbour = 2 - t as u64;
+                        let l3 = |h: &StorageHierarchy| {
+                            h.recover_job(3, neighbour).ok().map(|img| img.snapshot)
+                        };
+                        let before = l3(&h);
+                        h.fail_job(t as u64 + 1, level).unwrap();
+                        if level == 2 {
+                            h.fail_raid_node((a + b) as usize);
+                            h.repair_raid();
+                        }
+                        if level == 3 {
+                            truth[t] = None;
+                        }
+                        prop_assert_eq!(
+                            l3(&h),
+                            before,
+                            "tenant {}'s f{} moved its neighbour's L3 image",
+                            t,
+                            level
+                        );
                     }
                     _ => unreachable!(),
                 }

@@ -55,11 +55,12 @@ use aic_delta::pa::pa_encode;
 use aic_delta::strong::fnv1a;
 
 use crate::clock::{ClockSource, VirtualClock};
+use crate::engine::TICK;
 use crate::fleet::SharedDatasetFleet;
 use crate::fleetcore::{build_cut, Committed, FleetCore, RecoveryWindow, TenantCore};
 use crate::format::CheckpointFile;
 use crate::recovery::{RecoveredImage, RecoveryError, StorageHierarchy};
-use crate::service::{ServiceConfig, TenantPolicy, TICK};
+use crate::service::{ServiceConfig, TenantPolicy};
 
 /// One command in a tenant session, executed strictly in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -46,6 +46,7 @@ use aic_obs::{Counter, Field, Gauge, Histogram, Obs};
 
 use crate::clock::{ClockSource, VirtualClock};
 use crate::concurrent::{CompressorPool, Sched};
+use crate::engine::TICK;
 use crate::fleet::SharedDatasetFleet;
 use crate::fleetcore::{
     build_cut, local_write_latency, FleetCore, RecoveryWindow, TenantCore, BLOCK_US_BUCKETS,
@@ -93,9 +94,6 @@ pub struct TenantSpec {
     /// Crash schedule: `(virtual time, failure level 1..=3)`.
     pub crashes: Vec<(f64, usize)>,
 }
-
-/// Decision tick of the simulated drivers, virtual seconds.
-pub(crate) const TICK: f64 = 1.0;
 
 /// Encode-demand back-pressure: admissions stall while the earliest virtual
 /// core is busier than this many seconds ahead of now.

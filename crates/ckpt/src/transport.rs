@@ -30,6 +30,10 @@
 //!   exponential backoff until [`RetryPolicy::max_attempts`], then give up
 //!   — the checkpoint stays pending and the L3 chain's drained prefix ends
 //!   before it.
+//! * **Selective cancel.** [`NetworkTransport::cancel_seqs`] abandons a
+//!   chosen set of transfers — the drains an anchor superseded, or those a
+//!   crash or departure lost with its job — and leaves every other flow on
+//!   the link untouched.
 //! * **Virtual clock.** The transport never looks at the host clock; the
 //!   engine advances it explicitly, so every metric, span and retry
 //!   schedule is bit-reproducible under a fixed seed.
@@ -69,11 +73,6 @@ impl LinkConfig {
             latency,
             sharing: SharingModel::new(sf),
         }
-    }
-
-    /// The paper's per-node Lustre share: 2 MB/s, 10 ms setup.
-    pub fn coastal_l3(sf: f64) -> Self {
-        LinkConfig::new(2e6, 10e-3, sf)
     }
 }
 
@@ -609,38 +608,10 @@ impl NetworkTransport {
         (events, self.now)
     }
 
-    /// Cancel outstanding transfers with `seq < below` — they were
-    /// superseded by an acknowledged full anchor whose image covers them.
-    /// Returns how many were cancelled (slots freed immediately).
-    pub fn cancel_below(&mut self, below: u64) -> usize {
-        let before = self.transfers.len();
-        let now = self.now;
-        let obs = self.obs.clone();
-        self.transfers.retain(|t| {
-            let keep = t.seq >= below;
-            if !keep {
-                if let Some(o) = &obs {
-                    o.cancelled.inc();
-                    o.obs.spans.point(
-                        "transport.cancel",
-                        now,
-                        vec![("seq", t.seq.into()), ("superseded_by", below.into())],
-                    );
-                }
-            }
-            keep
-        });
-        let cancelled = before - self.transfers.len();
-        if let Some(o) = &self.obs {
-            o.in_flight.set(self.transfers.len() as f64);
-        }
-        cancelled
-    }
-
-    /// Cancel a specific set of outstanding transfers — one tenant of a
-    /// shared link crashed or departed, so only *its* drains must be
-    /// abandoned while every other tenant's transfers keep progressing.
-    /// Returns how many were cancelled (slots freed immediately).
+    /// Cancel a specific set of outstanding transfers — an anchor
+    /// superseded them, or the job that enqueued them crashed or departed —
+    /// while every other transfer on the link keeps progressing. Returns
+    /// how many were cancelled (slots freed immediately).
     pub fn cancel_seqs(&mut self, seqs: &[u64]) -> usize {
         let before = self.transfers.len();
         let now = self.now;
@@ -664,25 +635,6 @@ impl NetworkTransport {
             o.in_flight.set(self.transfers.len() as f64);
         }
         cancelled
-    }
-
-    /// Abandon every outstanding transfer — an f3 destroyed the source
-    /// node, so nothing more can be retransmitted. Returns the dropped
-    /// sequence numbers.
-    pub fn drop_all(&mut self) -> Vec<u64> {
-        let seqs: Vec<u64> = self.transfers.iter().map(|t| t.seq).collect();
-        if let Some(o) = &self.obs {
-            for seq in &seqs {
-                o.obs.spans.point(
-                    "transport.drain_lost",
-                    self.now,
-                    vec![("seq", (*seq).into())],
-                );
-            }
-            o.in_flight.set(0.0);
-        }
-        self.transfers.clear();
-        seqs
     }
 
     /// Fault-free estimate of when checkpoint `seq` will be acknowledged,
@@ -1204,43 +1156,24 @@ mod tests {
     }
 
     #[test]
-    fn cancel_below_frees_slots_and_keeps_newer_transfers() {
-        let mut t = NetworkTransport::new(link(1e4, 1.0), WriteBehindConfig::with_depth(4));
-        for seq in 0..4u64 {
-            t.enqueue(seq, 100_000, 0.0);
-        }
-        assert_eq!(t.cancel_below(3), 3);
-        assert_eq!(t.pending_seqs(), vec![3]);
-        let (events, _) = t.quiesce();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].seq(), 3);
-    }
-
-    #[test]
     fn cancel_seqs_is_selective_and_leaves_other_flows_untouched() {
-        let mut t = NetworkTransport::new(link(1e4, 1.0), WriteBehindConfig::with_depth(4));
-        for seq in 0..4u64 {
-            t.enqueue(seq, 100_000, 0.0);
+        // One tenant's drains, an anchor's superseded prefix, and every
+        // outstanding transfer (the lost drains of a link's only job).
+        for cancel in [&[1, 3][..], &[0, 1, 2], &[0, 1, 2, 3]] {
+            let mut t = NetworkTransport::new(link(1e4, 1.0), WriteBehindConfig::with_depth(4));
+            for seq in 0..4u64 {
+                t.enqueue(seq, 100_000, 0.0);
+            }
+            let keep: Vec<u64> = (0..4).filter(|s| !cancel.contains(s)).collect();
+            assert_eq!(t.cancel_seqs(cancel), cancel.len());
+            assert_eq!(t.pending_seqs(), keep);
+            assert_eq!(t.is_idle(), keep.is_empty());
+            let (events, _) = t.quiesce();
+            let acked: Vec<u64> = events.iter().map(|e| e.seq()).collect();
+            assert_eq!(acked, keep);
+            // Cancelling seqs that are not outstanding is a no-op.
+            assert_eq!(t.cancel_seqs(&[0, 7]), 0);
         }
-        assert_eq!(t.cancel_seqs(&[1, 3]), 2);
-        assert_eq!(t.pending_seqs(), vec![0, 2]);
-        let (events, _) = t.quiesce();
-        let acked: Vec<u64> = events.iter().map(|e| e.seq()).collect();
-        assert_eq!(acked, vec![0, 2]);
-        // Cancelling seqs that are not outstanding is a no-op.
-        assert_eq!(t.cancel_seqs(&[0, 7]), 0);
-    }
-
-    #[test]
-    fn drop_all_abandons_everything() {
-        let mut t = NetworkTransport::new(link(1e4, 1.0), WriteBehindConfig::with_depth(4));
-        t.enqueue(5, 100_000, 0.0);
-        t.enqueue(6, 100_000, 0.0);
-        assert_eq!(t.drop_all(), vec![5, 6]);
-        assert!(t.is_idle());
-        let (events, at) = t.quiesce();
-        assert!(events.is_empty());
-        assert_eq!(at, t.now());
     }
 
     #[test]

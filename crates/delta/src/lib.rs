@@ -59,4 +59,4 @@ pub use decode::{decode, DecodeError};
 pub use encode::{encode, encode_into, Delta, EncodeParams};
 pub use index::SourceIndex;
 pub use pa::{pa_decode, pa_encode, PaDeltaFile, PaParams, SourceIndexCache};
-pub use stats::{CostModel, DedupReport, EncodeReport};
+pub use stats::{CostModel, EncodeReport};

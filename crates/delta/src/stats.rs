@@ -124,77 +124,6 @@ impl CostModel {
     pub fn raw_io_latency(&self, bytes: u64) -> f64 {
         bytes as f64 / self.io_bw
     }
-
-    /// Delta latency with a content-addressed dedup probe pass in front of
-    /// the encoder.
-    ///
-    /// The probe hashes every candidate page once (a single scan at
-    /// `scan_bw`) and byte-verifies each hit against the stored chunk
-    /// (another scan over the hit pages). Hit pages then skip the encoder
-    /// entirely, so `report` must describe only the work the encoder
-    /// actually performed on the *miss* pages — the experiment harness
-    /// measures it that way. Probe work shards across the pool with the
-    /// rest of the compute.
-    ///
-    /// With `dedup == DedupReport::default()` (no pages probed) this is
-    /// **exactly** [`CostModel::pooled_delta_latency`]: the calibrated `dl`
-    /// and hence the `w*` trajectory are untouched when dedup is off.
-    pub fn dedup_delta_latency(
-        &self,
-        report: &EncodeReport,
-        dedup: &DedupReport,
-        cores: usize,
-    ) -> f64 {
-        let cores = cores.max(1);
-        let probe = (dedup.probed_bytes + dedup.verified_bytes) as f64 / self.scan_bw;
-        self.pooled_delta_latency(report, cores) + probe / cores as f64
-    }
-
-    /// Raw checkpoint I/O when a `hit_rate` fraction of the payload dedups
-    /// to chunk references. A referenced page ships a ~12-byte frame span
-    /// instead of its payload, which the linear model treats as free; the
-    /// surviving `1 - hit_rate` fraction pays full `io_bw` cost. At
-    /// `hit_rate == 0.0` this is **exactly** [`CostModel::raw_io_latency`].
-    pub fn dedup_raw_io_latency(&self, bytes: u64, hit_rate: f64) -> f64 {
-        let miss_fraction = 1.0 - hit_rate.clamp(0.0, 1.0);
-        bytes as f64 * miss_fraction / self.io_bw
-    }
-}
-
-/// What a dedup probe pass actually did — the extra latency drivers the
-/// chunk store adds in front of the encoder (see
-/// [`CostModel::dedup_delta_latency`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DedupReport {
-    /// Pages probed against the chunk index (every candidate page).
-    pub probed_pages: u64,
-    /// Bytes hashed by the probe (`probed_pages × page size`).
-    pub probed_bytes: u64,
-    /// Probes that hit: the page skipped the encoder entirely.
-    pub hit_pages: u64,
-    /// Bytes byte-verified against stored chunks (the collision backstop:
-    /// `hit_pages × page size`).
-    pub verified_bytes: u64,
-}
-
-impl DedupReport {
-    /// Fraction of probed pages that hit, in `[0, 1]`; `0.0` when nothing
-    /// was probed.
-    pub fn hit_rate(&self) -> f64 {
-        if self.probed_pages == 0 {
-            0.0
-        } else {
-            self.hit_pages as f64 / self.probed_pages as f64
-        }
-    }
-
-    /// Merge another report into this one (summing all counters).
-    pub fn merge(&mut self, other: &DedupReport) {
-        self.probed_pages += other.probed_pages;
-        self.probed_bytes += other.probed_bytes;
-        self.hit_pages += other.hit_pages;
-        self.verified_bytes += other.verified_bytes;
-    }
 }
 
 #[cfg(test)]
@@ -269,63 +198,6 @@ mod tests {
         // The serial I/O term is the floor no pool width can beat.
         let io_floor = (r.source_bytes + r.target_bytes + r.delta_bytes) as f64 / cm.io_bw;
         assert!(cm.pooled_delta_latency(&r, 1_000_000) >= io_floor);
-    }
-
-    #[test]
-    fn dedup_latency_reduces_exactly_to_baseline_when_off() {
-        let cm = CostModel::default();
-        let r = EncodeReport {
-            source_bytes: 8 << 20,
-            target_bytes: 8 << 20,
-            matched_bytes: 4 << 20,
-            literal_bytes: 4 << 20,
-            delta_bytes: 1 << 20,
-            pages: 2048,
-        };
-        // No probe pass at all: bit-for-bit the calibrated dl.
-        let off = DedupReport::default();
-        for cores in [1usize, 2, 8] {
-            assert_eq!(
-                cm.dedup_delta_latency(&r, &off, cores),
-                cm.pooled_delta_latency(&r, cores),
-            );
-        }
-        // hit_rate == 0 raw I/O is bit-for-bit the baseline raw I/O.
-        assert_eq!(
-            cm.dedup_raw_io_latency(64 << 20, 0.0),
-            cm.raw_io_latency(64 << 20)
-        );
-    }
-
-    #[test]
-    fn dedup_latency_charges_the_probe_and_discounts_hits() {
-        let cm = CostModel::default();
-        let r = EncodeReport {
-            source_bytes: 8 << 20,
-            target_bytes: 8 << 20,
-            literal_bytes: 1 << 20,
-            delta_bytes: 1 << 20,
-            pages: 2048,
-            ..Default::default()
-        };
-        let probe = DedupReport {
-            probed_pages: 2048,
-            probed_bytes: 2048 * 4096,
-            hit_pages: 1024,
-            verified_bytes: 1024 * 4096,
-        };
-        // The probe pass is never free…
-        assert!(cm.dedup_delta_latency(&r, &probe, 1) > cm.delta_latency(&r));
-        // …and it shards across the pool like the rest of the compute.
-        let serial_extra = cm.dedup_delta_latency(&r, &probe, 1) - cm.pooled_delta_latency(&r, 1);
-        let pooled_extra = cm.dedup_delta_latency(&r, &probe, 4) - cm.pooled_delta_latency(&r, 4);
-        assert!((pooled_extra - serial_extra / 4.0).abs() < 1e-12);
-        assert!((probe.hit_rate() - 0.5).abs() < 1e-12);
-        // Hit pages ship references instead of payload: I/O falls linearly.
-        let full = cm.dedup_raw_io_latency(64 << 20, 0.0);
-        let half = cm.dedup_raw_io_latency(64 << 20, 0.5);
-        assert!((half - full / 2.0).abs() < 1e-12);
-        assert_eq!(cm.dedup_raw_io_latency(64 << 20, 1.0), 0.0);
     }
 
     #[test]

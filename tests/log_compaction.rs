@@ -76,7 +76,8 @@ fn committed_chain(seed: u64) -> (StorageHierarchy, Snapshot) {
 fn commits_while_raid_degraded_recover_bit_identically_everywhere() {
     for victim in 0..4usize {
         let (mut h, mut state) = committed_chain(victim as u64 * 100);
-        h.inject_failure(2, victim).unwrap();
+        h.fail_job(1, 2).unwrap();
+        h.fail_raid_node(victim);
         assert!(h.raid().is_degraded());
 
         // Keep committing while degraded — including a full anchor, so
@@ -101,15 +102,15 @@ fn commits_while_raid_degraded_recover_bit_identically_everywhere() {
         // level serves the exact post-anchor image — the degraded group
         // included (reads reconstruct the dead node's chunks from parity).
         assert_eq!(
-            h.recover().unwrap().snapshot,
+            h.recover_cheapest(1, 1).unwrap().snapshot,
             state,
             "victim {victim}: probe diverged"
         );
-        let img = h.recover_from(2).unwrap();
+        let img = h.recover_job(2, 1).unwrap();
         assert!(img.degraded, "victim {victim}");
         assert_eq!(img.snapshot, state, "victim {victim}: degraded L2 diverged");
         assert_eq!(
-            h.recover_from(3).unwrap().snapshot,
+            h.recover_job(3, 1).unwrap().snapshot,
             state,
             "victim {victim}: L3 diverged"
         );
@@ -120,8 +121,9 @@ fn commits_while_raid_degraded_recover_bit_identically_everywhere() {
         // serves the same image.
         let r = h.repair_raid();
         assert!(r.bytes > 0, "victim {victim}: repair billed nothing");
-        h.inject_failure(2, (victim + 1) % 4).unwrap();
-        let img = h.recover_from(2).unwrap();
+        h.fail_job(1, 2).unwrap();
+        h.fail_raid_node((victim + 1) % 4);
+        let img = h.recover_job(2, 1).unwrap();
         assert!(img.degraded);
         assert!(h.repair_raid().bytes > 0, "victim {victim}");
         assert_eq!(
@@ -129,11 +131,9 @@ fn commits_while_raid_degraded_recover_bit_identically_everywhere() {
             "victim {victim}: post-repair L2 diverged"
         );
 
-        // The second f2 wiped L1 again with no commits after it: this time
-        // a replacement node must repopulate L1 from the survivors.
-        assert!(h.recover_from(1).is_err(), "victim {victim}");
-        assert!(h.repopulate_local() > 0, "victim {victim}");
-        assert_eq!(h.recover_from(1).unwrap().snapshot, state);
+        // The second f2 took L1 again with no commits after it: L1 cannot
+        // serve until the job's next anchor re-baselines it.
+        assert!(h.recover_job(1, 1).is_err(), "victim {victim}");
     }
 }
 
@@ -161,14 +161,14 @@ fn f3_between_l12_truncation_and_anchor_ack_serves_the_superseded_chain() {
     let anchor = Snapshot::from_pages([(0, page(40)), (1, page(41))]);
     h.commit_write_behind(&CheckpointFile::full(1, 2, anchor.clone(), Bytes::new()))
         .unwrap();
-    assert_eq!(h.recover_from(1).unwrap().snapshot, anchor);
+    assert_eq!(h.recover_job(1, 1).unwrap().snapshot, anchor);
 
     // ...and the node dies before the anchor's own drain acknowledges.
     // L3's only durable chain is the superseded one — recovery must serve
     // it bit-identically, not the half-truncated anchor state.
-    h.inject_failure(3, 0).unwrap();
+    h.fail_job(1, 3).unwrap();
     assert!(h.pending_remote_seqs().is_empty());
-    let img = h.recover().unwrap();
+    let img = h.recover_cheapest(1, 1).unwrap();
     assert_eq!(img.level, RecoveryLevel::Remote);
     assert_eq!(img.seq, 1);
     assert_eq!(img.snapshot, old_state, "superseded chain diverged");
@@ -178,7 +178,7 @@ fn f3_between_l12_truncation_and_anchor_ack_serves_the_superseded_chain() {
     h.commit(&CheckpointFile::full(1, 3, fresh.clone(), Bytes::new()))
         .unwrap();
     for level in 1..=3 {
-        assert_eq!(h.recover_from(level).unwrap().snapshot, fresh);
+        assert_eq!(h.recover_job(level, 1).unwrap().snapshot, fresh);
     }
 }
 
@@ -194,15 +194,16 @@ fn f2_in_the_anchor_ack_window_serves_the_anchor_from_l12() {
 
     // f2 inside the window: L1 is gone, but the anchor is on the (now
     // degraded) RAID log and the pending drain survives.
-    h.inject_failure(2, 1).unwrap();
-    let img = h.recover().unwrap();
+    h.fail_job(1, 2).unwrap();
+    h.fail_raid_node(1);
+    let img = h.recover_cheapest(1, 1).unwrap();
     assert_eq!(img.level, RecoveryLevel::Raid);
     assert_eq!(img.snapshot, anchor);
     // L3 still serves the superseded full until the ack lands...
-    assert_eq!(h.recover_from(3).unwrap().seq, 0);
+    assert_eq!(h.recover_job(3, 1).unwrap().seq, 0);
     // ...and the drain completes from the surviving copies.
     h.ack_remote(1).unwrap();
-    let img = h.recover_from(3).unwrap();
+    let img = h.recover_job(3, 1).unwrap();
     assert_eq!(img.seq, 1);
     assert_eq!(img.snapshot, anchor);
     assert_eq!(h.committed(), vec![1]);
@@ -234,7 +235,7 @@ fn crash_mid_compaction_matrix_recovers_bit_identically() {
                     Err(e) => panic!("seed {seed} crash {crash_after} L{level}: {e}"),
                 }
                 assert_eq!(
-                    h.recover_from(level).unwrap().snapshot,
+                    h.recover_job(level, 1).unwrap().snapshot,
                     anchor,
                     "seed {seed} crash {crash_after} L{level}: mid-compaction recovery drifted"
                 );
@@ -252,7 +253,7 @@ fn crash_mid_compaction_matrix_recovers_bit_identically() {
                     after[level - 1] < before[level - 1],
                     "seed {seed} crash {crash_after} L{level}: {before:?} -> {after:?}"
                 );
-                assert_eq!(h.recover_from(level).unwrap().snapshot, anchor);
+                assert_eq!(h.recover_job(level, 1).unwrap().snapshot, anchor);
             }
         }
     }

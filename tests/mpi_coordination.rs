@@ -62,13 +62,14 @@ fn global_checkpoints_commit_to_storage_and_recover() {
     let global = ck.restore_global(1).unwrap();
 
     // Catastrophe: every node suffers a total failure.
-    for s in &mut stores {
-        s.inject_failure(3, 0).unwrap();
+    for (rank, s) in stores.iter_mut().enumerate() {
+        s.fail_job(rank as u64, 3).unwrap();
     }
     for (rank, store) in stores.iter().enumerate() {
-        assert!(store.recover_from(1).is_err(), "local must be gone");
-        assert!(store.recover_from(2).is_err(), "raid must be gone");
-        let img = store.recover_from(3).expect("remote survives f3");
+        let job = rank as u64;
+        assert!(store.recover_job(1, job).is_err(), "local must be gone");
+        assert!(store.recover_job(2, job).is_err(), "raid must be gone");
+        let img = store.recover_job(3, job).expect("remote survives f3");
         assert_eq!(
             img.snapshot, global.ranks[rank],
             "rank {rank} remote restore diverged from the coordinated state"
