@@ -315,7 +315,7 @@ fn run_one(args: &Args) -> Result<(), String> {
             println!("\nwrite-behind beats synchronous commits at every SF >= 3");
         }
         "bench" => {
-            println!("## Delta-codec microbenchmarks — cache-hit vs cache-miss, pool widths\n");
+            println!("## Microbenchmarks — encode regimes, pool widths, named calls\n");
             let report = bench_delta::run(scale);
             print!("{}", bench_delta::render(&report));
             std::fs::write("BENCH_delta.json", report.to_json())

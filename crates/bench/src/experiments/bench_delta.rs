@@ -1,8 +1,9 @@
 //! `repro bench` (extension — engineering benchmark, no paper counterpart):
-//! wall-clock microbenchmarks of the Xdelta3-PA encode hot path.
+//! the workspace's one microbenchmark harness.
 //!
-//! Three per-page encode regimes over the same snapshot pairs as the
-//! criterion `delta_codec` benches:
+//! Three per-page encode regimes of the Xdelta3-PA hot path, over
+//! snapshot pairs in three similarity regimes (small edits, half-page
+//! rewrites, fresh entropy):
 //!
 //! * **reference** — the retained naive encoder (`HashMap` table rebuilt
 //!   per call, byte-at-a-time extension, double-copied literals);
@@ -12,27 +13,55 @@
 //!   [`SourceIndexCache`] (every page is a pointer-equal cache hit).
 //!
 //! plus a sweep of the [`CompressorPool`]'s encode over N ∈ {1,2,4,8}
-//! workers with a warm pool cache. Results are medians of wall-clock
-//! samples in ns/page; `repro bench` writes them to `BENCH_delta.json`.
+//! workers with a warm pool cache, both in ns/page. Then one named
+//! [`MicroRow`] per call of the other layers AIC runs on: the other
+//! codecs and PA decode, the model solves behind the decider, the
+//! predictor's page metrics and updates, the substrates (memsim, RAID-5,
+//! checkpoint format, a pool round trip) and four reduced-scale experiment
+//! runs. The rows that time steps AIC is charged for from a constant print
+//! `AicConfig::testbed`'s `decide_cost` or `metric_cost` beside the
+//! measurement. Every number is a median of wall-clock samples, taken in
+//! interleaved rounds; `repro bench` writes them to `BENCH_delta.json`.
 //!
 //! [`SourceIndex`]: aic_delta::SourceIndex
 //! [`SourceIndexCache`]: aic_delta::SourceIndexCache
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use aic_ckpt::concurrent::{CompressorPool, SOLO_QUANTUM};
-use aic_delta::encode::EncodeParams;
-use aic_delta::pa::{pa_encode, pa_encode_cached, plan_shards, PaParams, SourceIndexCache};
+use aic_ckpt::format::CheckpointFile;
+use aic_ckpt::storage::{BandwidthModel, Raid5Group, Store};
+use aic_core::features::BaseMetrics;
+use aic_core::metrics::{cosine_similarity, divergence_index, jaccard_distance, m2_index};
+use aic_core::online::NormalizedGd;
+use aic_core::policy::AicConfig;
+use aic_core::predictor::AicPredictor;
+use aic_core::sample::SampleBuffer;
+use aic_delta::encode::{encode_with_report, EncodeParams};
+use aic_delta::pa::{
+    full_encode, pa_decode, pa_encode, pa_encode_cached, plan_shards, PaParams, SourceIndexCache,
+};
 use aic_delta::reference::encode_with_report_reference;
-use aic_memsim::{Page, Snapshot, PAGE_SIZE};
+use aic_delta::xor::xor_encode;
+use aic_memsim::{AddressSpace, Page, SimTime, Snapshot, PAGE_SIZE};
+use aic_model::concurrent::{net2_at, ConcurrentModel};
+use aic_model::moody::{moody_net2, moody_optimize, MoodySchedule};
+use aic_model::nonstatic::{steady_state_wstar, IntervalParams};
+use aic_model::params::{AppType, CoastalProfile};
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::experiments::RunScale;
+use crate::experiments::{fig2, fig5, fig7, table1, RunScale};
 use crate::output::{f, markdown_table};
 
 /// Pool widths swept by the pooled section.
 pub const DEFAULT_WORKERS: [usize; 4] = [1, 2, 4, 8];
+
+/// Wall-clock length a micro row's timed batch aims for: calls cheaper
+/// than this repeat within one sample, so timer overhead drops out.
+const BATCH_NS: f64 = 2e6;
 
 /// Per-regime medians, ns per page.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,6 +108,24 @@ pub struct PoolPoint {
     pub ns_per_page: f64,
 }
 
+/// One named call's median wall-clock cost.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MicroRow {
+    /// Layer the call belongs to: `codec`, `decider`, `predictor`,
+    /// `substrate` or `harness`.
+    pub section: &'static str,
+    /// Call name, unique within its section.
+    pub name: String,
+    /// Median wall-clock ns per call.
+    pub median_ns: f64,
+    /// Timed samples behind the median.
+    pub samples: usize,
+    /// What the engine charges AIC for this step from a constant
+    /// (`AicConfig::decide_cost` per tick, `metric_cost` per sampled
+    /// page), ns; `None` for steps it does not charge that way.
+    pub charged_ns: Option<f64>,
+}
+
 /// The full sweep, serialized to `BENCH_delta.json` by `repro bench`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
@@ -86,6 +133,8 @@ pub struct BenchReport {
     pub pages: usize,
     /// Wall-clock samples per median.
     pub samples: usize,
+    /// Cores the host offers this process.
+    pub available_parallelism: usize,
     /// Per-regime encode medians.
     pub regimes: Vec<RegimeRow>,
     /// Pooled sweep (half-rewrite regime, warm cache).
@@ -96,6 +145,8 @@ pub struct BenchReport {
     /// and the sweep passes **vacuously** — it verified nothing about
     /// scaling.
     pub degenerate: bool,
+    /// Named per-call rows, in section order.
+    pub micro: Vec<MicroRow>,
 }
 
 impl BenchReport {
@@ -103,8 +154,8 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!(
-            "  \"bench\": \"delta_codec\",\n  \"pages\": {},\n  \"page_size\": {},\n  \"samples\": {},\n",
-            self.pages, PAGE_SIZE, self.samples
+            "  \"bench\": \"delta_codec\",\n  \"pages\": {},\n  \"page_size\": {},\n  \"samples\": {},\n  \"available_parallelism\": {},\n",
+            self.pages, PAGE_SIZE, self.samples, self.available_parallelism
         ));
         s.push_str("  \"regimes\": [\n");
         for (i, r) in self.regimes.iter().enumerate() {
@@ -133,6 +184,20 @@ impl BenchReport {
                 p.shards,
                 p.ns_per_page,
                 if i + 1 < self.pool.len() { "," } else { "" }
+            ));
+        }
+        s.push_str("  ],\n  \"micro\": [\n");
+        for (i, m) in self.micro.iter().enumerate() {
+            s.push_str(&format!(
+                "    {{\"section\": \"{}\", \"name\": \"{}\", \"median_ns\": {:.1}, \
+                 \"samples\": {}, \"charged_ns\": {}}}{}\n",
+                m.section,
+                m.name,
+                m.median_ns,
+                m.samples,
+                m.charged_ns
+                    .map_or("null".to_string(), |c| format!("{c:.1}")),
+                if i + 1 < self.micro.len() { "," } else { "" }
             ));
         }
         s.push_str("  ]\n}\n");
@@ -249,6 +314,252 @@ fn parallelism(p: &PoolPoint) -> usize {
     p.threads.min(p.shards)
 }
 
+/// A named call [`run`] times, with the state it runs on.
+struct Micro<'a> {
+    section: &'static str,
+    name: String,
+    call: Box<dyn FnMut() + 'a>,
+}
+
+/// Collects the micro section's calls, one section at a time.
+struct Calls<'a> {
+    section: &'static str,
+    rows: Vec<Micro<'a>>,
+}
+
+impl<'a> Calls<'a> {
+    fn add<R>(&mut self, name: impl Into<String>, mut call: impl FnMut() -> R + 'a) {
+        self.rows.push(Micro {
+            section: self.section,
+            name: name.into(),
+            call: Box::new(move || {
+                black_box(call());
+            }),
+        });
+    }
+}
+
+/// What the engine charges AIC for the step a row times, ns, from
+/// `AicConfig::testbed`: `decide_cost` per decision tick (the prediction
+/// and the EVT + Newton–Raphson search), `metric_cost` per sampled page.
+fn charged_ns(name: &str) -> Option<f64> {
+    let aic = AicConfig::testbed(CoastalProfile::default().rates());
+    match name {
+        "aic_decision_evt_nr" | "predictor_predict" => Some(aic.decide_cost * 1e9),
+        "sample_buffer_offer" => Some(aic.metric_cost * 1e9),
+        n if n.starts_with("page_metrics/") => Some(aic.metric_cost * 1e9),
+        _ => None,
+    }
+}
+
+/// Random base metrics in the range the predictor sees.
+fn base_metrics(rng: &mut StdRng) -> BaseMetrics {
+    BaseMetrics {
+        dp: rng.gen_range(100.0..4000.0),
+        t: rng.gen_range(5.0..60.0),
+        jd: rng.gen_range(0.0..1.0),
+        di: rng.gen_range(0.0..1.0),
+    }
+}
+
+/// `p` after observing each of `samples` as one interval.
+fn trained(mut p: AicPredictor, samples: &[BaseMetrics]) -> AicPredictor {
+    for m in samples {
+        p.observe(m, 0.1, 0.5, m.dp * 2048.0);
+    }
+    p
+}
+
+/// Every named call of the micro section. The codec rows run on the
+/// encode section's snapshots, the others on fixed inputs of their own.
+fn micro_calls<'a>(prev: &'a Snapshot, targets: &'a [(&'static str, Snapshot)]) -> Vec<Micro<'a>> {
+    let params = PaParams::default();
+    let eparams = EncodeParams {
+        block_size: params.block_size,
+        max_probe: params.max_probe,
+    };
+    let mut c = Calls {
+        section: "codec",
+        rows: Vec::new(),
+    };
+    for (regime, target) in targets {
+        c.add(format!("xdelta3-whole/{regime}"), move || {
+            full_encode(prev, target, &EncodeParams::default())
+        });
+        c.add(format!("xor-rle/{regime}"), move || {
+            xor_encode(prev, target)
+        });
+    }
+    // One page with a 128-byte edit, its index built per call.
+    let (src, tgt) = (prev.get(0).unwrap(), targets[0].1.get(0).unwrap());
+    c.add("page_encode/optimized-cold", move || {
+        encode_with_report(src.as_slice(), tgt.as_slice(), &eparams)
+    });
+    let (file, _) = pa_encode(prev, &targets[1].1, &params); // half-rewrite
+    c.add("delta_decode/xdelta3-pa", move || {
+        pa_decode(prev, &file).unwrap()
+    });
+
+    c.section = "decider";
+    let costs = CoastalProfile::default().costs();
+    let rates = CoastalProfile::default().rates();
+    let job = rates.with_total(1e-3);
+    for model in ConcurrentModel::ALL {
+        let job = job.clone();
+        c.add(format!("chain_solve/net2/{}", model.name()), move || {
+            net2_at(model, 2_000.0, &costs, &job)
+        });
+    }
+    let (sched, r) = (MoodySchedule { n1: 1, n2: 2 }, job.clone());
+    c.add("chain_solve/moody_net2", move || {
+        moody_net2(2_000.0, &sched, &costs, &r)
+    });
+    c.add("moody_exhaustive_optimize", move || {
+        moody_optimize(&costs, &rates, 1_100.0, 4.0e6)
+    });
+    // One tick's search, cold-started at 120 s elapsed.
+    let cur = IntervalParams::from_measurement(0.1, 0.5, 10e6, 35e6, 150e3);
+    c.add("aic_decision_evt_nr", move || {
+        steady_state_wstar(&cur, &job, 120.0, &mut None)
+    });
+
+    c.section = "predictor";
+    let (a, b) = (prev.get(0).unwrap(), prev.get(1).unwrap());
+    c.add("page_metrics/jaccard_distance", move || {
+        jaccard_distance(a, b)
+    });
+    c.add("page_metrics/divergence_index", move || divergence_index(a));
+    c.add("page_metrics/cosine_similarity", move || {
+        cosine_similarity(a, b)
+    });
+    c.add("page_metrics/m2_index", move || m2_index(a));
+    let (mut sb, mut t) = (SampleBuffer::new(2048, 0.01), 0.0);
+    c.add("sample_buffer_offer", move || {
+        t += 0.02;
+        sb.offer(1, t, a, Some(b))
+    });
+    let mut rng = StdRng::seed_from_u64(5);
+    let boot: Vec<BaseMetrics> = (0..4).map(|_| base_metrics(&mut rng)).collect();
+    let warm: Vec<BaseMetrics> = (0..8).map(|_| base_metrics(&mut rng)).collect();
+    let ready = trained(AicPredictor::default(), &warm);
+    let m = base_metrics(&mut rng);
+    let mut online = trained(AicPredictor::new(4, 3, NormalizedGd::default()), &warm);
+    c.add("predictor_bootstrap_stepwise", move || {
+        trained(AicPredictor::default(), &boot).ready()
+    });
+    c.add("predictor_online_observe", move || {
+        let m = base_metrics(&mut rng);
+        online.observe(&m, 0.1, 0.5, m.dp * 2048.0)
+    });
+    c.add("predictor_predict", move || ready.predict(&m));
+
+    c.section = "substrate";
+    // Every write faults: the space is re-protected each 1024 writes.
+    let (mut sp, data, mut i) = (AddressSpace::new(), vec![7u8; PAGE_SIZE], 0u64);
+    sp.allocate(0, 1024);
+    c.add("memsim/write_faulting_page", move || {
+        if i.is_multiple_of(1024) {
+            sp.begin_interval();
+        }
+        sp.write_page(i % 1024, 0, &data, SimTime::ZERO);
+        i += 1;
+    });
+    let (mut sp, data, mut i) = (AddressSpace::new(), vec![7u8; PAGE_SIZE], 0u64);
+    sp.allocate(0, 16);
+    sp.begin_interval();
+    for p in 0..16 {
+        sp.write_page(p, 0, &data, SimTime::ZERO); // take the faults once
+    }
+    c.add("memsim/write_unprotected_page", move || {
+        sp.write_page(i % 16, 0, &data, SimTime::ZERO);
+        i += 1;
+    });
+    let mut payload = vec![0u8; 1 << 20];
+    StdRng::seed_from_u64(9).fill(&mut payload[..]);
+    let payload = Bytes::from(payload);
+    let stored = |failed: bool| {
+        let mut g = Raid5Group::new(5, 64 << 10, BandwidthModel::new(1e9, 0.0));
+        g.put("x", payload.clone());
+        if failed {
+            g.fail_node(2);
+        }
+        g
+    };
+    let (mut g, data) = (stored(false), payload.clone());
+    c.add("raid5/put_1MiB", move || g.put("x", data.clone()));
+    let g = stored(false);
+    c.add("raid5/get_1MiB", move || g.get("x").unwrap());
+    let g = stored(true);
+    c.add("raid5/degraded_get_1MiB", move || g.get("x").unwrap());
+    let file = CheckpointFile::full(1, 0, snapshot(256, 11), Bytes::from_static(b"cpu"));
+    let bytes = file.to_bytes();
+    c.add("checkpoint_format/serialize_1MiB", move || file.to_bytes());
+    c.add("checkpoint_format/parse_1MiB", move || {
+        CheckpointFile::from_bytes(bytes.clone()).unwrap()
+    });
+    let core = CompressorPool::spawn(1, SOLO_QUANTUM, None);
+    let (old, new) = (snapshot(64, 13), snapshot(64, 14));
+    c.add("core_submit_recv/64pages", move || {
+        core.submit(0, old.clone(), new.clone(), params).wait()
+    });
+
+    c.section = "harness";
+    c.add("fig5_one_size_mpi", || {
+        fig5::run_with_app(&[5.0], AppType::Mpi)
+    });
+    c.add("fig7_one_cell", || fig7::run(&[5.0], &[3.0]));
+    let small = RunScale {
+        footprint: 0.06,
+        duration: 1.0,
+        seed: 1,
+    };
+    c.add("fig2_sweep_20s_small", move || {
+        fig2::sweep("bzip2", 2.0, 20, &small)
+    });
+    c.add("table1_500_jobs", || table1::run(500, 7));
+    c.rows
+}
+
+/// Time every call in `samples` interleaved rounds: a round runs one batch
+/// of each call in turn, so a load spike lands on every row of the round.
+/// A warm-up of about [`BATCH_NS`] per call sets its batch to the calls
+/// that fit in it (at least one). Each timed batch follows an untimed one
+/// of the same call, which refills the caches and allocator state the
+/// previous row disturbed; without it, memory-bound rows such as a RAID-5
+/// get read 1.2–2.6× above their back-to-back cost.
+fn time_rounds(calls: Vec<Micro<'_>>, samples: usize) -> Vec<MicroRow> {
+    let mut calls: Vec<(Micro<'_>, usize)> = calls
+        .into_iter()
+        .map(|mut m| {
+            let (t0, mut n) = (Instant::now(), 0);
+            while n == 0 || (t0.elapsed().as_nanos() as f64) < BATCH_NS {
+                (m.call)();
+                n += 1;
+            }
+            (m, n)
+        })
+        .collect();
+    let mut times = vec![Vec::with_capacity(samples); calls.len()];
+    for _ in 0..samples {
+        for ((m, n), t) in calls.iter_mut().zip(&mut times) {
+            let mut batch = || (0..*n).for_each(|_| (m.call)());
+            batch();
+            t.push(time_ns(&mut batch) / *n as f64);
+        }
+    }
+    calls
+        .into_iter()
+        .zip(times)
+        .map(|((m, _), t)| MicroRow {
+            section: m.section,
+            charged_ns: charged_ns(&m.name),
+            name: m.name,
+            median_ns: median(t),
+            samples,
+        })
+        .collect()
+}
+
 /// Run the full sweep.
 pub fn run(scale: &RunScale) -> BenchReport {
     let pages = ((256.0 * scale.footprint) as usize).clamp(32, 1024);
@@ -259,17 +570,21 @@ pub fn run(scale: &RunScale) -> BenchReport {
         max_probe: params.max_probe,
     };
     let prev = snapshot(pages, scale.seed);
-
-    let regimes = ["small-edit", "half-rewrite", "fresh"]
+    let targets: Vec<(&'static str, Snapshot)> = ["small-edit", "half-rewrite", "fresh"]
         .into_iter()
-        .map(|regime| {
-            let target = dirty(&prev, regime, scale.seed + 1);
+        .map(|regime| (regime, dirty(&prev, regime, scale.seed + 1)))
+        .collect();
+
+    let regimes = targets
+        .iter()
+        .map(|&(regime, ref target)| {
             let cache = SourceIndexCache::new();
-            pa_encode_cached(&prev, &target, &params, &cache); // warm-up: populate
-                                                               // Interleave the three variants within each sample round so a
-                                                               // load spike on a shared machine inflates all three columns of
-                                                               // that round instead of just one — check()'s cold-vs-reference
-                                                               // comparison then sees paired medians, not decorrelated noise.
+            // Warm-up: populate the cache.
+            pa_encode_cached(&prev, target, &params, &cache);
+            // Interleave the three variants within each sample round so a
+            // load spike on a shared machine inflates all three columns of
+            // that round instead of just one — check()'s cold-vs-reference
+            // comparison then sees paired medians, not decorrelated noise.
             let mut reference_t = Vec::with_capacity(samples);
             let mut cold_t = Vec::with_capacity(samples);
             let mut hot_t = Vec::with_capacity(samples);
@@ -277,7 +592,7 @@ pub fn run(scale: &RunScale) -> BenchReport {
                 reference_t.push(time_ns(&mut || {
                     for (idx, page) in target.iter() {
                         let src = prev.get(idx).unwrap();
-                        std::hint::black_box(encode_with_report_reference(
+                        black_box(encode_with_report_reference(
                             src.as_slice(),
                             page.as_slice(),
                             &eparams,
@@ -285,10 +600,10 @@ pub fn run(scale: &RunScale) -> BenchReport {
                     }
                 }));
                 cold_t.push(time_ns(&mut || {
-                    std::hint::black_box(pa_encode(&prev, &target, &params));
+                    black_box(pa_encode(&prev, target, &params));
                 }));
                 hot_t.push(time_ns(&mut || {
-                    std::hint::black_box(pa_encode_cached(&prev, &target, &params, &cache));
+                    black_box(pa_encode_cached(&prev, target, &params, &cache));
                 }));
             }
             RegimeRow {
@@ -300,7 +615,8 @@ pub fn run(scale: &RunScale) -> BenchReport {
         })
         .collect();
 
-    let target = dirty(&prev, "half-rewrite", scale.seed + 1);
+    // The pool sweep encodes the half-rewrite pair.
+    let target = &targets[1].1;
     // Measure each *effective* plan once; widths that clamp to the same
     // (threads, shards) share the measurement (see [`PoolPoint`]). The
     // plans take turns within each sample round, so a change in host load
@@ -323,7 +639,7 @@ pub fn run(scale: &RunScale) -> BenchReport {
     for _ in 0..samples {
         for ((_, pool), t) in pools.iter().zip(&mut times) {
             t.push(time_ns(&mut || {
-                std::hint::black_box(encode(pool));
+                black_box(encode(pool));
             }));
         }
     }
@@ -353,17 +669,19 @@ pub fn run(scale: &RunScale) -> BenchReport {
     BenchReport {
         pages,
         samples,
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         regimes,
         pool,
         degenerate,
+        micro: time_rounds(micro_calls(&prev, &targets), samples),
     }
 }
 
-/// Render both sweeps as markdown tables.
+/// Render the sweeps and the micro rows as markdown tables.
 pub fn render(report: &BenchReport) -> String {
     let mut out = format!(
-        "{} pages x {} samples, median ns/page (this machine)\n\n",
-        report.pages, report.samples
+        "{} pages x {} samples, median ns/page ({} cores available)\n\n",
+        report.pages, report.samples, report.available_parallelism
     );
     out.push_str(&markdown_table(
         &[
@@ -401,6 +719,22 @@ pub fn render(report: &BenchReport) -> String {
                     p.threads.to_string(),
                     p.shards.to_string(),
                     f(p.ns_per_page),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    ));
+    out.push_str("\nnamed calls, median per call (AIC charge: the engine's constant):\n\n");
+    out.push_str(&markdown_table(
+        &["section", "call", "median (µs)", "AIC charge (µs)"],
+        &report
+            .micro
+            .iter()
+            .map(|m| {
+                vec![
+                    m.section.to_string(),
+                    m.name.clone(),
+                    f(m.median_ns / 1e3),
+                    m.charged_ns.map_or("-".to_string(), |c| f(c / 1e3)),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -443,14 +777,48 @@ mod tests {
         // The flag must agree with the thread counts it reports.
         let parallel: std::collections::HashSet<_> = report.pool.iter().map(parallelism).collect();
         assert_eq!(report.degenerate, parallel.len() <= 1, "{report:?}");
+        // Every named row is present once, timed, and sampled.
+        let names: std::collections::HashSet<_> =
+            report.micro.iter().map(|m| (m.section, &m.name)).collect();
+        assert_eq!(names.len(), report.micro.len(), "duplicate row names");
+        for (section, rows) in [
+            ("codec", 8),
+            ("decider", 6),
+            ("predictor", 8),
+            ("substrate", 8),
+            ("harness", 4),
+        ] {
+            let n = report.micro.iter().filter(|m| m.section == section).count();
+            assert_eq!(n, rows, "section {section}");
+        }
+        assert_eq!(report.micro.len(), 34);
+        for m in &report.micro {
+            assert!(m.median_ns > 0.0 && m.samples == report.samples, "{m:?}");
+        }
+        let charged = |name: &str| {
+            report
+                .micro
+                .iter()
+                .find(|m| m.name == name)
+                .unwrap()
+                .charged_ns
+        };
+        assert_eq!(charged("aic_decision_evt_nr"), Some(250e3));
+        assert_eq!(charged("page_metrics/jaccard_distance"), Some(100e3));
+        assert_eq!(charged("raid5/put_1MiB"), None);
         let json = report.to_json();
         for key in [
             "\"bench\": \"delta_codec\"",
+            "\"available_parallelism\"",
             "\"regimes\"",
             "\"pool\"",
             "\"degenerate\"",
             "\"speedup_hot_vs_reference\"",
             "\"workers\": 8",
+            "\"micro\"",
+            "\"name\": \"aic_decision_evt_nr\"",
+            "\"charged_ns\": 250000.0",
+            "\"name\": \"table1_500_jobs\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -468,6 +836,7 @@ mod tests {
         let rendered = render(&report);
         assert!(rendered.contains("half-rewrite"));
         assert!(rendered.contains("workers"));
+        assert!(rendered.contains("sample_buffer_offer"));
     }
 
     #[test]
@@ -487,9 +856,11 @@ mod tests {
         let good = BenchReport {
             pages: 32,
             samples: 3,
+            available_parallelism: 2,
             regimes: vec![row("small-edit", 10.0, 5.0), row("fresh", 10.0, 9.9)],
             pool: vec![point(1, 10.0), point(2, 10.0), point(8, 9.0)],
             degenerate: false,
+            micro: Vec::new(),
         };
         assert!(good.check().is_empty(), "{:?}", good.check());
         assert!(good.warnings().is_empty(), "{:?}", good.warnings());

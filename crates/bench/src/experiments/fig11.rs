@@ -61,8 +61,6 @@ pub fn measure(name: &str, scale: &RunScale, config: &EngineConfig) -> Fig11Row 
 
     // --- AIC.
     let mut aic_cfg = AicConfig::testbed(config.rates.clone());
-    aic_cfg.b2 = config.b2;
-    aic_cfg.b3 = config.b3;
     aic_cfg.bootstrap_interval = (15.0 * scale.duration).max(2.0);
     let mut aic_policy = AicPolicy::new(aic_cfg, config);
     let aic = run_engine(scaled_persona(name, scale), &mut aic_policy, config);

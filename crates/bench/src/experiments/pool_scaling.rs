@@ -8,26 +8,17 @@
 //! split; see `CostModel::pooled_delta_latency`). This experiment sweeps
 //! the pool width and reports, per width:
 //!
-//! * the wall-clock time of one encode through a `CompressorPool` of that
-//!   width, warm source-index cache (measured, this machine),
 //! * the engine-recorded mean delta latency `dl` (model, deployment units),
 //! * the SIC plan `w*` for that width from a single-core calibration
 //!   (`sic_optimal_w_pooled`), and the NET² of running that plan.
 //!
 //! Wider pools should shorten both `dl` and `w*` — cheaper checkpoints are
-//! worth taking more often — and NET² should not degrade. The wall-clock
-//! column only shows real speedup when the host has that many cores; the
-//! bit-identity of the pooled output is asserted by the pool's own tests.
+//! worth taking more often — and NET² should not degrade. Every column is
+//! computed on the virtual clock, so the output is deterministic. The
+//! pool's wall-clock encode time per width is `repro bench`'s pool sweep.
 
-use std::time::Instant;
-
-use aic_ckpt::concurrent::{CompressorPool, SOLO_QUANTUM};
 use aic_ckpt::engine::run_engine;
 use aic_ckpt::policies::{calibration_means, sic_optimal_w_pooled, FixedIntervalPolicy};
-use aic_delta::pa::{pa_encode_cached, PaParams, SourceIndexCache};
-use aic_memsim::{Page, Snapshot, PAGE_SIZE};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::experiments::{scaled_persona, testbed_engine, RunScale};
 use crate::output::{f, markdown_table};
@@ -37,10 +28,6 @@ use crate::output::{f, markdown_table};
 pub struct PoolRow {
     /// Compression workers in the pool.
     pub cores: usize,
-    /// Wall-clock milliseconds for one pooled PA encode (min of 5).
-    pub encode_ms: f64,
-    /// Wall-clock speedup over the serial encode on this host.
-    pub speedup: f64,
     /// Engine-recorded mean delta latency at this width, seconds.
     pub mean_dl: f64,
     /// SIC's pooled plan `w*` from the single-core calibration, seconds.
@@ -51,36 +38,6 @@ pub struct PoolRow {
 
 /// Default pool widths.
 pub const DEFAULT_CORES: [usize; 4] = [1, 2, 4, 8];
-
-/// Synthetic 256-page snapshot pair (half-page rewrites — the regime where
-/// compression compute dominates and sharding has the most to win).
-fn encode_pair(seed: u64) -> (Snapshot, Snapshot) {
-    const PAGES: usize = 256;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let prev = Snapshot::from_pages((0..PAGES).map(|i| {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        rng.fill(&mut buf[..]);
-        (i as u64, Page::from_bytes(&buf))
-    }));
-    let target = Snapshot::from_pages(prev.iter().map(|(idx, page)| {
-        let mut bytes = page.as_slice().to_vec();
-        for b in &mut bytes[..PAGE_SIZE / 2] {
-            *b = rng.gen();
-        }
-        (idx, Page::from_bytes(&bytes))
-    }));
-    (prev, target)
-}
-
-fn min_wall_ms(mut encode: impl FnMut()) -> f64 {
-    (0..5)
-        .map(|_| {
-            let t0 = Instant::now();
-            encode();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 /// Run the pool-width sweep.
 pub fn run(cores: &[usize], scale: &RunScale) -> Vec<PoolRow> {
@@ -95,22 +52,9 @@ pub fn run(cores: &[usize], scale: &RunScale) -> Vec<PoolRow> {
     );
     let means = calibration_means(&cal.intervals);
 
-    // --- Wall-clock baseline: the serial encode. Both sides encode through
-    // a source-index cache, so the best of five runs is cache-warm on each.
-    let (prev, target) = encode_pair(scale.seed);
-    let params = PaParams::default();
-    let cache = SourceIndexCache::new();
-    let serial_ms = min_wall_ms(|| {
-        pa_encode_cached(&prev, &target, &params, &cache);
-    });
-
     cores
         .iter()
         .map(|&n| {
-            let pool = CompressorPool::spawn(n, SOLO_QUANTUM, None);
-            let encode_ms = min_wall_ms(|| {
-                pool.encode(0, prev.clone(), target.clone(), params);
-            });
             let w_star =
                 sic_optimal_w_pooled(means.c1, means.dl, means.ds, &cal_cfg, cal.base_time, n)
                     .clamp(2.0, cal.base_time);
@@ -121,8 +65,6 @@ pub fn run(cores: &[usize], scale: &RunScale) -> Vec<PoolRow> {
             let mean_dl = calibration_means(&report.intervals).dl;
             PoolRow {
                 cores: n,
-                encode_ms,
-                speedup: serial_ms / encode_ms.max(1e-9),
                 mean_dl,
                 w_star,
                 net2: report.net2,
@@ -134,26 +76,10 @@ pub fn run(cores: &[usize], scale: &RunScale) -> Vec<PoolRow> {
 /// Render the sweep.
 pub fn render(rows: &[PoolRow]) -> String {
     markdown_table(
-        &[
-            "cores",
-            "encode (ms)",
-            "speedup",
-            "mean dl (s)",
-            "SIC w* (s)",
-            "NET²",
-        ],
+        &["cores", "mean dl (s)", "SIC w* (s)", "NET²"],
         &rows
             .iter()
-            .map(|r| {
-                vec![
-                    r.cores.to_string(),
-                    f(r.encode_ms),
-                    format!("{:.2}x", r.speedup),
-                    f(r.mean_dl),
-                    f(r.w_star),
-                    f(r.net2),
-                ]
-            })
+            .map(|r| vec![r.cores.to_string(), f(r.mean_dl), f(r.w_star), f(r.net2)])
             .collect::<Vec<_>>(),
     )
 }
@@ -179,7 +105,6 @@ mod tests {
         // Cheaper checkpoints must not make the outcome worse.
         assert!(four.net2 <= one.net2 * 1.05, "{four:?} vs {one:?}");
         for r in &rows {
-            assert!(r.encode_ms > 0.0 && r.speedup > 0.0);
             assert!(r.net2 >= 1.0);
         }
     }

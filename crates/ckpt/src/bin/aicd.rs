@@ -109,6 +109,15 @@ fn parse_args() -> Result<Args, String> {
     if args.rounds == 0 {
         return Err("--rounds must be >= 1".into());
     }
+    if args.slots == 0 {
+        return Err("--slots must be >= 1".into());
+    }
+    if args.cores == 0 {
+        return Err("--cores must be >= 1".into());
+    }
+    if args.overlap > 100 {
+        return Err(format!("--overlap must be 0..=100, got {}", args.overlap));
+    }
     if let Some((_, level)) = args.crashes.iter().find(|(_, l)| !(1..=3).contains(l)) {
         return Err(format!("--crash level must be 1..=3, got {level}"));
     }

@@ -219,10 +219,12 @@ impl FleetServer {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.faults` is set: fault injection remains
+    /// Panics if `cfg.slots` is 0: every JOIN would wait forever for
+    /// admission. Panics if `cfg.faults` is set: fault injection remains
     /// simulator-only — a wall-clock transfer that gave up would park the
     /// level-3 drain barrier forever and break the oracle contract.
     pub fn start(fleet: SharedDatasetFleet, cfg: ServiceConfig) -> Self {
+        assert!(cfg.slots >= 1, "need at least one admission slot");
         assert!(
             cfg.faults.is_none(),
             "wall-clock mode requires a fault-free transport"

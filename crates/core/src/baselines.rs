@@ -19,29 +19,14 @@ use aic_ckpt::engine::{CheckpointPolicy, Decision, DecisionCtx, EngineConfig, In
 use aic_delta::pa::{pa_encode, PaParams};
 use aic_delta::stats::CostModel;
 use aic_memsim::Snapshot;
-use aic_model::nonstatic::{optimal_w_budgeted, IntervalParams};
+use aic_model::nonstatic::{steady_state_wstar, IntervalParams};
 use aic_model::FailureRates;
-
-/// Shared decision machinery: the steady-state EVT rule of `AicPolicy`.
-fn should_cut(
-    params: &IntervalParams,
-    rates: &FailureRates,
-    w_max: f64,
-    elapsed: f64,
-    last_wstar: &mut Option<f64>,
-) -> bool {
-    let seed = last_wstar.unwrap_or(elapsed).max(params.w_lower_bound());
-    let best = optimal_w_budgeted(params, params, rates, 1.0, w_max, seed, 30, 1e-4);
-    *last_wstar = Some(best.x);
-    best.x <= elapsed
-}
 
 /// The clairvoyant decider: exact costs via trial compression.
 pub struct OraclePolicy {
     b2: f64,
     b3: f64,
     rates: FailureRates,
-    w_max: f64,
     cost_model: CostModel,
     pa: PaParams,
     bootstrap_interval: f64,
@@ -57,7 +42,6 @@ impl OraclePolicy {
             b2: config.b2,
             b3: config.b3,
             rates: config.rates.clone(),
-            w_max: 1e5,
             cost_model: config.cost_model,
             pa: PaParams::default(),
             bootstrap_interval,
@@ -105,13 +89,9 @@ impl CheckpointPolicy for OraclePolicy {
         let dl = self.cost_model.delta_latency(&report);
         let ds = file.wire_len() as f64;
         let params = IntervalParams::from_measurement(c1, dl, ds, self.b2, self.b3);
-        if should_cut(
-            &params,
-            &self.rates,
-            self.w_max,
-            ctx.elapsed,
-            &mut self.last_wstar,
-        ) {
+        if steady_state_wstar(&params, &self.rates, ctx.elapsed, &mut self.last_wstar)
+            <= ctx.elapsed
+        {
             Decision::Checkpoint
         } else {
             Decision::Continue
@@ -126,7 +106,6 @@ pub struct MeanPolicy {
     b2: f64,
     b3: f64,
     rates: FailureRates,
-    w_max: f64,
     bootstrap_interval: f64,
     seen: u64,
     mean_c1: f64,
@@ -142,7 +121,6 @@ impl MeanPolicy {
             b2: config.b2,
             b3: config.b3,
             rates: config.rates.clone(),
-            w_max: 1e5,
             bootstrap_interval,
             seen: 0,
             mean_c1: 0.0,
@@ -173,13 +151,9 @@ impl CheckpointPolicy for MeanPolicy {
             self.b2,
             self.b3,
         );
-        if should_cut(
-            &params,
-            &self.rates,
-            self.w_max,
-            ctx.elapsed,
-            &mut self.last_wstar,
-        ) {
+        if steady_state_wstar(&params, &self.rates, ctx.elapsed, &mut self.last_wstar)
+            <= ctx.elapsed
+        {
             Decision::Checkpoint
         } else {
             Decision::Continue

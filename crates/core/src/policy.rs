@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use aic_ckpt::engine::{CheckpointPolicy, Decision, DecisionCtx, EngineConfig, IntervalRecord};
-use aic_model::nonstatic::{optimal_w_budgeted, IntervalParams};
+use aic_model::nonstatic::{steady_state_wstar, IntervalParams};
 use aic_model::FailureRates;
 use aic_obs::{Counter, Gauge, Obs};
 
@@ -54,16 +54,10 @@ impl PolicyObs {
 /// AIC tuning knobs.
 #[derive(Debug, Clone)]
 pub struct AicConfig {
-    /// Per-node L2 bandwidth, bytes/s.
-    pub b2: f64,
-    /// Per-node L3 bandwidth, bytes/s.
-    pub b3: f64,
     /// Failure rates used in the decision model.
     pub rates: FailureRates,
     /// Fixed cadence (seconds) used while gathering bootstrap samples.
     pub bootstrap_interval: f64,
-    /// Upper bound of the `w` search.
-    pub w_max: f64,
     /// Sample-buffer capacity (group representatives).
     pub sb_capacity: usize,
     /// Initial arrival-grouping threshold `T_g`, seconds.
@@ -84,15 +78,13 @@ pub struct AicConfig {
 
 impl AicConfig {
     /// Testbed defaults matching the paper's evaluation (Section V.C):
-    /// Coastal bandwidths, 8-MB sample buffer (2048 page samples), 1-second
-    /// decisions (the engine's tick), bootstrap cadence 15 s.
+    /// 8-MB sample buffer (2048 page samples), 1-second decisions (the
+    /// engine's tick), bootstrap cadence 15 s. The bandwidths come from the
+    /// engine ([`AicPolicy::new`]).
     pub fn testbed(rates: FailureRates) -> Self {
         AicConfig {
-            b2: 483.0e9 / 1024.0,
-            b3: 2.0e6,
             rates,
             bootstrap_interval: 15.0,
-            w_max: 1e5,
             sb_capacity: 2048,
             tg0: 0.05,
             metric_cost: 100e-6,
@@ -102,22 +94,15 @@ impl AicConfig {
             variation: crate::sample::VariationMetric::Divergence,
         }
     }
-
-    /// Derive the AIC config from an engine config (bandwidths, rates and
-    /// sharing factor are taken from the engine so model and engine agree).
-    pub fn from_engine(config: &EngineConfig) -> Self {
-        let mut cfg = Self::testbed(config.rates.clone());
-        cfg.b2 = config.b2 / config.sharing_factor;
-        cfg.b3 = config.b3; // L3 is per-node; sharing throttles the core,
-                            // which the engine folds into dl and transfers.
-        cfg
-    }
 }
 
 /// The adaptive incremental checkpointing policy.
 #[derive(Debug, Clone)]
 pub struct AicPolicy {
     cfg: AicConfig,
+    /// Per-node L2 and L3 bandwidths of the engine, bytes/s.
+    b2: f64,
+    b3: f64,
     predictor: AicPredictor,
     sb: SampleBuffer,
     dirty_seen: usize,
@@ -138,14 +123,17 @@ pub struct AicPolicy {
 }
 
 impl AicPolicy {
-    /// Build an AIC policy. The `EngineConfig` is consulted so the policy's
-    /// internal model matches the engine's bandwidths.
-    pub fn new(mut cfg: AicConfig, engine: &EngineConfig) -> Self {
-        cfg.b2 = engine.b2;
-        cfg.b3 = engine.b3;
+    /// Build an AIC policy. Its decision model takes the engine's per-node
+    /// L2/L3 bandwidths unscaled, so like every decider here it models a
+    /// sharing factor of 1: under an `EngineConfig::sharing_factor` above 1
+    /// it sees the stretched delta latency through the measured `dl`, but
+    /// not the stretched transfers.
+    pub fn new(cfg: AicConfig, engine: &EngineConfig) -> Self {
         let sb =
             SampleBuffer::new(cfg.sb_capacity, cfg.tg0).with_metrics(cfg.similarity, cfg.variation);
         AicPolicy {
+            b2: engine.b2,
+            b3: engine.b3,
             predictor: AicPredictor::default(),
             sb,
             dirty_seen: 0,
@@ -245,36 +233,15 @@ impl CheckpointPolicy for AicPolicy {
         // (that would double-count the pool; see
         // `IntervalParams::from_measurement_with_cores` for planning from
         // single-core measurements).
-        let cur =
-            IntervalParams::from_measurement(pred.c1, pred.dl, pred.ds, self.cfg.b2, self.cfg.b3);
-        // Steady-state objective: a checkpoint cut *now* has `cur` costs,
-        // and its transfer window burdens the next span — so the interval
-        // regime being optimized has cur as both the in-flight and the
-        // fallback checkpoint.
-        // Seed Newton–Raphson with the previous tick's optimum (warm
-        // start); the paper reports convergence in < 5 iterations.
-        let seed = self
-            .last_wstar
-            .unwrap_or(ctx.elapsed)
-            .max(cur.w_lower_bound());
-        let best = optimal_w_budgeted(
-            &cur,
-            &cur,
-            &self.cfg.rates,
-            1.0,
-            self.cfg.w_max,
-            seed,
-            30,
-            1e-4,
-        );
-        self.last_wstar = Some(best.x);
+        let cur = IntervalParams::from_measurement(pred.c1, pred.dl, pred.ds, self.b2, self.b3);
+        let wstar = steady_state_wstar(&cur, &self.cfg.rates, ctx.elapsed, &mut self.last_wstar);
         self.last_prediction = Some((pred.c1, pred.dl, pred.ds));
         if let Some(o) = &self.obs {
             o.predictions.inc();
-            o.wstar.set(best.x);
+            o.wstar.set(wstar);
         }
 
-        if best.x <= ctx.elapsed {
+        if wstar <= ctx.elapsed {
             self.adaptive_cuts += 1;
             if let Some(o) = &self.obs {
                 o.adaptive_cuts.inc();

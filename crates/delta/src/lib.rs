@@ -21,7 +21,7 @@
 //!   "compressed differences"), the simple scheme the paper's related work
 //!   contrasts against;
 //! * [`stats`] — encode reports and the deterministic latency **cost model**
-//!   used by the simulated experiments (criterion benches measure the real
+//!   used by the simulated experiments (`repro bench` measures the real
 //!   wall-clock cost of the same code paths).
 //!
 //! ## Round-trip guarantee

@@ -4,9 +4,9 @@
 //! checkpoints, run delta compression, and write the delta back). In our
 //! simulated testbed the compression runs on real data but virtual time, so
 //! latency is charged through a [`CostModel`]: a linear model over the work
-//! the encoder actually performed ([`EncodeReport`]). The criterion benches
-//! measure the true wall-clock cost of the identical code path, keeping the
-//! model honest.
+//! the encoder actually performed ([`EncodeReport`]). `repro bench`
+//! measures the true wall-clock cost of the identical code path, keeping
+//! the model honest.
 
 /// What an encode run actually did — the drivers of its latency.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

@@ -163,6 +163,30 @@ pub fn optimal_w_budgeted(
     )
 }
 
+/// Upper end of the online deciders' `w` search, seconds.
+pub const W_MAX: f64 = 1e5;
+
+/// The steady-state `w*_L` search every online decider runs each tick.
+///
+/// A checkpoint cut now has `params` costs, and its transfer window
+/// burdens the next span, so `params` is both the in-flight and the
+/// fallback interval. Newton–Raphson is warm-started at the previous
+/// tick's optimum (`last_wstar`), else at the `elapsed` span, floored at
+/// the drain bound; the paper reports convergence in < 5 iterations.
+/// Stores the optimum in `last_wstar` and returns it: the decider cuts
+/// once it is not above `elapsed`.
+pub fn steady_state_wstar(
+    params: &IntervalParams,
+    rates: &FailureRates,
+    elapsed: f64,
+    last_wstar: &mut Option<f64>,
+) -> f64 {
+    let seed = last_wstar.unwrap_or(elapsed).max(params.w_lower_bound());
+    let w = optimal_w_budgeted(params, params, rates, 1.0, W_MAX, seed, 30, 1e-4).x;
+    *last_wstar = Some(w);
+    w
+}
+
 /// Build the non-static L2L3 chain (Fig. 8). Same topology as the static
 /// [`crate::concurrent::ConcurrentModel::L2L3`] chain, with the recovery
 /// and rerun states that reference the previous interval (grey in Fig. 8)

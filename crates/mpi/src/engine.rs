@@ -13,7 +13,7 @@
 
 use aic_delta::pa::PaParams;
 use aic_delta::stats::CostModel;
-use aic_model::nonstatic::{interval_time_l2l3, optimal_w_budgeted, IntervalParams};
+use aic_model::nonstatic::{interval_time_l2l3, steady_state_wstar, IntervalParams};
 use aic_model::FailureRates;
 
 use crate::coordinated::CoordinatedCheckpointer;
@@ -139,10 +139,7 @@ pub fn run_mpi_engine(mut job: MpiJob, cfg: &MpiEngineConfig) -> MpiReport {
             let est_dl = cfg.cost.raw_io_latency((est_raw / 4.0) as u64); // scan share
             let c1 = cfg.cost.raw_io_latency(est_raw as u64) + ck.barrier_overhead;
             let params = params_from(c1, est_dl, est_ds as u64, ranks, cfg);
-            let seed = last_wstar.unwrap_or(elapsed).max(params.w_lower_bound());
-            let best = optimal_w_budgeted(&params, &params, &job_rates, 1.0, 1e5, seed, 30, 1e-4);
-            last_wstar = Some(best.x);
-            want = best.x <= elapsed;
+            want = steady_state_wstar(&params, &job_rates, elapsed, &mut last_wstar) <= elapsed;
         }
 
         if want {
