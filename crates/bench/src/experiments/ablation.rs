@@ -12,8 +12,9 @@
 //!   (Section IV.E's 8-MB buffer).
 
 use aic_ckpt::engine::{run_engine, Compressor, EngineConfig};
-use aic_ckpt::policies::{DirtyBudgetPolicy, FixedIntervalPolicy};
+use aic_core::baselines::{DirtyBudgetPolicy, FixedIntervalPolicy, MeanPolicy, OraclePolicy};
 use aic_core::policy::{AicConfig, AicPolicy};
+use aic_core::CheckpointPolicy;
 use aic_delta::encode::EncodeParams;
 use aic_delta::pa::PaParams;
 
@@ -72,44 +73,33 @@ pub fn compressors(persona: &str, scale: &RunScale) -> Vec<AblationRow> {
         .collect()
 }
 
-/// Decider ablation on `persona`: AIC vs static vs dirty-budget.
+/// Decider ablation on `persona`: AIC vs static vs dirty-budget, each
+/// decider in the same slot of the same engine.
 pub fn policies(persona: &str, scale: &RunScale) -> Vec<AblationRow> {
     let config: EngineConfig = geometry_scaled_engine(scale);
-    let mut out = Vec::new();
-
-    let mut fixed = FixedIntervalPolicy::new((20.0 * scale.duration).max(3.0));
-    out.push(row(
-        "fixed interval",
-        &run_engine(scaled_persona(persona, scale), &mut fixed, &config),
-    ));
-
-    let mut budget = DirtyBudgetPolicy::new(1024, (60.0 * scale.duration).max(5.0));
-    out.push(row(
-        "dirty-page budget",
-        &run_engine(scaled_persona(persona, scale), &mut budget, &config),
-    ));
-
-    let mut mean = aic_core::baselines::MeanPolicy::new(&config, (15.0 * scale.duration).max(2.0));
-    out.push(row(
-        "mean-predictor",
-        &run_engine(scaled_persona(persona, scale), &mut mean, &config),
-    ));
-
+    let env = config.policy_env();
+    let bootstrap = (15.0 * scale.duration).max(2.0);
     let mut aic_cfg = AicConfig::testbed(testbed_rates());
-    aic_cfg.bootstrap_interval = (15.0 * scale.duration).max(2.0);
-    let mut aic = AicPolicy::new(aic_cfg, &config);
-    out.push(row(
-        "AIC (adaptive)",
-        &run_engine(scaled_persona(persona, scale), &mut aic, &config),
-    ));
-
-    let mut oracle =
-        aic_core::baselines::OraclePolicy::new(&config, (15.0 * scale.duration).max(2.0));
-    out.push(row(
-        "oracle (exact costs)",
-        &run_engine(scaled_persona(persona, scale), &mut oracle, &config),
-    ));
-    out
+    aic_cfg.bootstrap_interval = bootstrap;
+    let fixed = FixedIntervalPolicy::new((20.0 * scale.duration).max(3.0));
+    let budget = DirtyBudgetPolicy::new(1024, (60.0 * scale.duration).max(5.0));
+    let deciders: [(&str, Box<dyn CheckpointPolicy>); 5] = [
+        ("fixed interval", Box::new(fixed)),
+        ("dirty-page budget", Box::new(budget)),
+        ("mean-predictor", Box::new(MeanPolicy::new(&env, bootstrap))),
+        ("AIC (adaptive)", Box::new(AicPolicy::new(aic_cfg, &env))),
+        (
+            "oracle (exact costs)",
+            Box::new(OraclePolicy::new(&env, bootstrap)),
+        ),
+    ];
+    deciders
+        .into_iter()
+        .map(|(label, mut policy)| {
+            let report = run_engine(scaled_persona(persona, scale), policy.as_mut(), &config);
+            row(label, &report)
+        })
+        .collect()
 }
 
 /// Metric-choice ablation (the paper's footnote 1): JD/DI vs cosine/M2
@@ -135,7 +125,7 @@ pub fn metric_choice(persona: &str, scale: &RunScale) -> Vec<AblationRow> {
         aic_cfg.bootstrap_interval = (15.0 * scale.duration).max(2.0);
         aic_cfg.similarity = sim;
         aic_cfg.variation = var;
-        let mut aic = AicPolicy::new(aic_cfg, &config);
+        let mut aic = AicPolicy::new(aic_cfg, &config.policy_env());
         let report = run_engine(scaled_persona(persona, scale), &mut aic, &config);
         row(label, &report)
     })
@@ -151,7 +141,7 @@ pub fn sample_buffer(persona: &str, scale: &RunScale, capacities: &[usize]) -> V
             let mut aic_cfg = AicConfig::testbed(testbed_rates());
             aic_cfg.bootstrap_interval = (15.0 * scale.duration).max(2.0);
             aic_cfg.sb_capacity = cap;
-            let mut aic = AicPolicy::new(aic_cfg, &config);
+            let mut aic = AicPolicy::new(aic_cfg, &config.policy_env());
             let report = run_engine(scaled_persona(persona, scale), &mut aic, &config);
             row(&format!("SB = {cap} samples"), &report)
         })

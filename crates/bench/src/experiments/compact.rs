@@ -17,8 +17,8 @@
 use std::sync::{Arc, Mutex};
 
 use aic_ckpt::engine::run_engine;
-use aic_ckpt::policies::FixedIntervalPolicy;
 use aic_ckpt::recovery::{CompactionPolicy, RecoveryError, StorageHierarchy};
+use aic_core::baselines::FixedIntervalPolicy;
 use aic_memsim::Snapshot;
 
 use crate::experiments::{scaled_persona, RunScale};

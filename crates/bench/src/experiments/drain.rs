@@ -23,8 +23,8 @@
 
 use aic_ckpt::engine::{EngineConfig, EngineReport};
 use aic_ckpt::harness::{run_with_faults, FailureSchedule};
-use aic_ckpt::policies::FixedIntervalPolicy;
 use aic_ckpt::transport::{TransportFaults, WriteBehindConfig};
+use aic_core::baselines::FixedIntervalPolicy;
 use aic_memsim::SimTime;
 
 use crate::experiments::{geometry_scaled_engine, scaled_persona, RunScale};

@@ -13,8 +13,8 @@
 
 use aic_ckpt::engine::EngineConfig;
 use aic_ckpt::harness::{run_with_faults, FailureSchedule};
-use aic_ckpt::policies::FixedIntervalPolicy;
 use aic_ckpt::recovery::RecoveryLevel;
+use aic_core::baselines::FixedIntervalPolicy;
 use aic_memsim::SimTime;
 
 use crate::experiments::{scaled_persona, testbed_rates, RunScale};

@@ -15,11 +15,11 @@
 //! λ = 10⁻³ split in Coastal proportions.
 
 use aic_ckpt::engine::{run_engine, EngineConfig};
-use aic_ckpt::policies::{calibration_means, moody_config, sic_optimal_w, FixedIntervalPolicy};
+use aic_core::baselines::{moody_config, sic_optimal_w, FixedIntervalPolicy};
 use aic_core::policy::{AicConfig, AicPolicy};
 use aic_memsim::workloads::spec::ALL_PERSONAS;
 
-use crate::experiments::{scaled_persona, RunScale};
+use crate::experiments::{scaled_persona, sic_calibration, RunScale};
 use crate::output::{f, markdown_table, pct};
 
 /// One benchmark's three-way comparison.
@@ -47,37 +47,24 @@ impl Fig11Row {
 /// Evaluate one benchmark under the three schemes. `config` carries the
 /// bandwidths (scaled variants feed Fig. 12).
 pub fn measure(name: &str, scale: &RunScale, config: &EngineConfig) -> Fig11Row {
-    // --- Calibration pass for SIC (modest fixed cadence).
-    let cal_interval = (20.0 * scale.duration).max(2.0);
-    let mut cal_policy = FixedIntervalPolicy::new(cal_interval);
-    let cal = run_engine(scaled_persona(name, scale), &mut cal_policy, config);
-    let means = calibration_means(&cal.intervals);
-
-    // --- SIC at its static optimum.
-    let w_star = sic_optimal_w(means.c1, means.dl, means.ds, config, cal.base_time)
-        .clamp(2.0, cal.base_time);
+    // --- SIC at its static optimum, from a calibration pass.
+    let (means, base_time) = sic_calibration(name, scale, config);
+    let env = config.policy_env();
+    let w_star = sic_optimal_w(means.c1, means.dl, means.ds, &env, base_time).clamp(2.0, base_time);
     let mut sic_policy = FixedIntervalPolicy::new(w_star);
     let sic = run_engine(scaled_persona(name, scale), &mut sic_policy, config);
 
     // --- AIC.
     let mut aic_cfg = AicConfig::testbed(config.rates.clone());
     aic_cfg.bootstrap_interval = (15.0 * scale.duration).max(2.0);
-    let mut aic_policy = AicPolicy::new(aic_cfg, config);
+    let mut aic_policy = AicPolicy::new(aic_cfg, &env);
     let aic = run_engine(scaled_persona(name, scale), &mut aic_policy, config);
 
     // --- Moody: full-footprint checkpoints on its own model's optimum.
-    let full_bytes = cal
-        .intervals
-        .first()
-        .map(|_| {
-            // Footprint from the process itself: rerun init cheaply.
-            let p = scaled_persona(name, scale);
-            let mut p = p;
-            p.run_until(aic_memsim::SimTime::from_secs(0.0));
-            p.space().footprint_bytes()
-        })
-        .unwrap_or(1 << 30);
-    let moody = moody_config(full_bytes, config, &config.rates).net2;
+    // Footprint from the process itself: rerun init cheaply.
+    let mut p = scaled_persona(name, scale);
+    p.run_until(aic_memsim::SimTime::from_secs(0.0));
+    let moody = moody_config(p.space().footprint_bytes(), &env, &config.rates).net2;
 
     Fig11Row {
         name: name.to_string(),

@@ -8,9 +8,10 @@
 //! worst-case prediction. The operational numbers should sit at or below
 //! the worst-case curve.
 
-use aic_ckpt::engine::{CheckpointPolicy, EngineConfig};
+use aic_ckpt::engine::EngineConfig;
 use aic_ckpt::fleet::run_fleet;
-use aic_ckpt::policies::FixedIntervalPolicy;
+use aic_core::baselines::FixedIntervalPolicy;
+use aic_core::CheckpointPolicy;
 use aic_model::concurrent::{net2_at, ConcurrentModel};
 use aic_model::params::LevelCosts;
 

@@ -22,7 +22,8 @@ pub mod table1;
 pub mod table3;
 pub mod validate;
 
-use aic_ckpt::engine::EngineConfig;
+use aic_ckpt::engine::{run_engine, EngineConfig};
+use aic_core::baselines::{calibration_means, CalibrationMeans, FixedIntervalPolicy};
 use aic_model::params::CoastalProfile;
 use aic_model::FailureRates;
 
@@ -94,6 +95,19 @@ impl RunScale {
             seed: 42,
         }
     }
+}
+
+/// SIC's offline calibration (Section V.A): `persona` run under `config`
+/// at a fixed cadence of 20 s × duration scale, averaged over its
+/// checkpointed intervals. Also returns the run's base time.
+pub fn sic_calibration(
+    persona: &str,
+    scale: &RunScale,
+    config: &EngineConfig,
+) -> (CalibrationMeans, f64) {
+    let mut policy = FixedIntervalPolicy::new((20.0 * scale.duration).max(2.0));
+    let cal = run_engine(scaled_persona(persona, scale), &mut policy, config);
+    (calibration_means(&cal.intervals), cal.base_time)
 }
 
 /// Build a persona by name at a given run scale, wrapping it so the base

@@ -10,7 +10,7 @@
 //!
 //! * the engine-recorded mean delta latency `dl` (model, deployment units),
 //! * the SIC plan `w*` for that width from a single-core calibration
-//!   (`sic_optimal_w_pooled`), and the NET² of running that plan.
+//!   (`sic_optimal_w` at that width), and the NET² of running that plan.
 //!
 //! Wider pools should shorten both `dl` and `w*` — cheaper checkpoints are
 //! worth taking more often — and NET² should not degrade. Every column is
@@ -18,9 +18,9 @@
 //! pool's wall-clock encode time per width is `repro bench`'s pool sweep.
 
 use aic_ckpt::engine::run_engine;
-use aic_ckpt::policies::{calibration_means, sic_optimal_w_pooled, FixedIntervalPolicy};
+use aic_core::baselines::{calibration_means, sic_optimal_w, FixedIntervalPolicy};
 
-use crate::experiments::{scaled_persona, testbed_engine, RunScale};
+use crate::experiments::{scaled_persona, sic_calibration, testbed_engine, RunScale};
 use crate::output::{f, markdown_table};
 
 /// One pool-width measurement.
@@ -42,24 +42,16 @@ pub const DEFAULT_CORES: [usize; 4] = [1, 2, 4, 8];
 /// Run the pool-width sweep.
 pub fn run(cores: &[usize], scale: &RunScale) -> Vec<PoolRow> {
     // --- Single-core calibration: the means the pooled planner starts from.
-    let cal_cfg = testbed_engine();
-    let cal_interval = (20.0 * scale.duration).max(2.0);
-    let mut cal_policy = FixedIntervalPolicy::new(cal_interval);
-    let cal = run_engine(
-        scaled_persona("libquantum", scale),
-        &mut cal_policy,
-        &cal_cfg,
-    );
-    let means = calibration_means(&cal.intervals);
+    let (means, base_time) = sic_calibration("libquantum", scale, &testbed_engine());
 
     cores
         .iter()
         .map(|&n| {
-            let w_star =
-                sic_optimal_w_pooled(means.c1, means.dl, means.ds, &cal_cfg, cal.base_time, n)
-                    .clamp(2.0, cal.base_time);
             let mut cfg = testbed_engine();
             cfg.cores = n;
+            let env = cfg.policy_env();
+            let w_star =
+                sic_optimal_w(means.c1, means.dl, means.ds, &env, base_time).clamp(2.0, base_time);
             let mut policy = FixedIntervalPolicy::new(w_star);
             let report = run_engine(scaled_persona("libquantum", scale), &mut policy, &cfg);
             let mean_dl = calibration_means(&report.intervals).dl;

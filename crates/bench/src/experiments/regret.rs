@@ -15,7 +15,7 @@
 //! regret it leaves on the table.
 
 use aic_ckpt::engine::run_engine;
-use aic_ckpt::policies::FixedIntervalPolicy;
+use aic_core::baselines::FixedIntervalPolicy;
 use aic_core::policy::{AicConfig, AicPolicy};
 use aic_delta::pa::{pa_encode, PaParams};
 use aic_delta::stats::CostModel;
@@ -140,7 +140,7 @@ pub fn run(persona: &str, scale: &RunScale, ticks: usize, tick_len: f64) -> Regr
     }
     let mut aic_cfg = AicConfig::testbed(config.rates.clone());
     aic_cfg.bootstrap_interval = (horizon / 12.0).max(2.0);
-    let mut aic_policy = AicPolicy::new(aic_cfg, &config);
+    let mut aic_policy = AicPolicy::new(aic_cfg, &config.policy_env());
     let aic = run_engine(
         scaled_persona(persona, &clipped(0)),
         &mut aic_policy,

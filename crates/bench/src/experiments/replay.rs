@@ -129,7 +129,7 @@ pub fn run(scale: &RunScale) -> ReplayOutcome {
     // samples and starts adapting even at CI scale.
     let mut aic_cfg = AicConfig::testbed(cfg.rates.clone());
     aic_cfg.bootstrap_interval = (base / 12.0).clamp(1.0, 15.0);
-    let mut policy = AicPolicy::new(aic_cfg, &cfg);
+    let mut policy = AicPolicy::new(aic_cfg, &cfg.policy_env());
 
     let schedule = FailureSchedule::single(base * 0.55, 2, 1);
     let out = run_with_faults(process, &mut policy, cfg, &schedule)

@@ -60,9 +60,9 @@ use aic_ckpt::chain::CheckpointChain;
 use aic_ckpt::engine::{run_engine, EngineConfig};
 use aic_ckpt::format::{CheckpointFile, CheckpointKind, Payload};
 use aic_ckpt::harness::{run_with_faults, FailureSchedule};
-use aic_ckpt::policies::FixedIntervalPolicy;
 use aic_ckpt::recovery::{RecoveryLevel, StorageHierarchy};
 use aic_ckpt::transport::{TransportFaults, WriteBehindConfig};
+use aic_core::baselines::FixedIntervalPolicy;
 use aic_delta::pa::{pa_encode, PaParams};
 use aic_memsim::workloads::generic::StreamingWorkload;
 use aic_memsim::workloads::WriteStyle;

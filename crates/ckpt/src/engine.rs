@@ -22,17 +22,36 @@
 //! hierarchy's job-scoped `fail_job` (plus `fail_raid_node` at f2), a
 //! selective `cancel_seqs` of the drains the failure lost, and
 //! `recover_cheapest` from the failure level up.
+//!
+//! The policy is any `aic_core` decider. AIC, end to end:
+//!
+//! ```
+//! use aic_core::policy::{AicConfig, AicPolicy};
+//! use aic_ckpt::engine::{run_engine, EngineConfig};
+//! use aic_memsim::{SimProcess, SimTime};
+//! use aic_memsim::workloads::generic::PhasedWorkload;
+//! use aic_model::FailureRates;
+//!
+//! let rates = FailureRates::three(2e-7, 1.8e-6, 4e-7).with_total(1e-3);
+//! let config = EngineConfig::testbed(rates.clone());
+//! let mut policy = AicPolicy::new(AicConfig::testbed(rates), &config.policy_env());
+//! let wl = PhasedWorkload::new("demo", 1, 512, 8.0, 2.0, 1, 30,
+//!                              SimTime::from_secs(60.0));
+//! let report = run_engine(SimProcess::new(Box::new(wl)), &mut policy, &config);
+//! assert!(report.net2 >= 1.0);
+//! ```
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
+use aic_core::{CheckpointPolicy, Decision, DecisionCtx, IntervalRecord, PolicyEnv};
 use aic_delta::encode::EncodeParams;
 use aic_delta::pa::{pa_encode_cached, PaParams, SourceIndexCache};
 use aic_delta::stats::CostModel;
 use aic_delta::xor::xor_encode;
-use aic_memsim::{AddressSpace, SimProcess, SimTime, Snapshot};
+use aic_memsim::{SimProcess, SimTime, Snapshot};
 use aic_model::nonstatic::{interval_time_l2l3, IntervalParams};
 use aic_model::FailureRates;
 use aic_obs::{Counter, Gauge, Histogram, Obs, Span};
@@ -95,41 +114,6 @@ pub enum Compressor {
     WholeFile(EncodeParams),
     /// Incremental + XOR/RLE compression (the classic cheap baseline).
     Xor,
-}
-
-/// One checkpoint interval's measurements (paper Section V.A: `c1(i)`,
-/// checkpoint size, `dl(i)`, `ds(i)`; `c2`/`c3` derived from bandwidths).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalRecord {
-    /// Interval index (0 = the run-up to the first checkpoint after full).
-    pub seq: u64,
-    /// Virtual work accomplished this interval, seconds.
-    pub w: f64,
-    /// Local (blocking) checkpoint latency, seconds.
-    pub c1: f64,
-    /// Delta-compression latency on the checkpointing core, seconds.
-    pub dl: f64,
-    /// Compressed payload size shipped to L2/L3, bytes.
-    pub ds_bytes: u64,
-    /// Uncompressed incremental checkpoint size, bytes.
-    pub raw_bytes: u64,
-    /// Dirty pages in the interval.
-    pub dirty_pages: usize,
-    /// Level costs implied by this interval's measurements.
-    pub params: IntervalParams,
-}
-
-impl IntervalRecord {
-    /// Compression ratio `ds / raw` (lower is better). An interval that
-    /// checkpointed nothing compressed nothing: its ratio is the neutral
-    /// `1.0`, not a fictitious perfect `0.0` that would skew aggregates.
-    pub fn ratio(&self) -> f64 {
-        if self.raw_bytes == 0 {
-            1.0
-        } else {
-            self.ds_bytes as f64 / self.raw_bytes as f64
-        }
-    }
 }
 
 /// The decision tick, virtual seconds: the engine, `run_fleet` and the
@@ -210,53 +194,18 @@ impl EngineConfig {
             obs: None,
         }
     }
-}
 
-/// What the policy sees at each decision tick.
-#[derive(Debug)]
-pub struct DecisionCtx<'a> {
-    /// Current virtual time.
-    pub now: f64,
-    /// Virtual work since the last checkpoint cut.
-    pub elapsed: f64,
-    /// Index of the interval being accumulated.
-    pub interval_index: u64,
-    /// Dirty pages so far this interval.
-    pub dirty_pages: usize,
-    /// The live address space (for content metrics).
-    pub space: &'a AddressSpace,
-    /// The previous checkpoint's page contents.
-    pub prev_pages: &'a Snapshot,
-    /// The most recent completed interval, if any.
-    pub last_record: Option<&'a IntervalRecord>,
-}
-
-/// A policy's verdict at a decision tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    /// Keep working.
-    Continue,
-    /// Cut a checkpoint now.
-    Checkpoint,
-}
-
-/// A checkpoint policy: decides *when* to checkpoint (the paper's
-/// Checkpoint Decider slot; AIC's implementation lives in `aic-core`).
-pub trait CheckpointPolicy {
-    /// Human-readable policy name.
-    fn name(&self) -> &str;
-    /// Decide at a tick.
-    fn decide(&mut self, ctx: &DecisionCtx<'_>) -> Decision;
-    /// Feed back the measured interval (the paper's predictor update path).
-    fn observe(&mut self, _rec: &IntervalRecord) {}
-    /// Compute-core seconds charged per decision tick (predictor cost).
-    fn decision_cost(&self) -> f64 {
-        0.0
+    /// The deployment this run's decider plans for.
+    pub fn policy_env(&self) -> PolicyEnv {
+        PolicyEnv {
+            rates: self.rates.clone(),
+            b2: self.b2,
+            b3: self.b3,
+            cost_model: self.cost_model,
+            sharing_factor: self.sharing_factor,
+            cores: self.cores,
+        }
     }
-    /// Share the run's observability bundle with the policy (called once at
-    /// engine start when `EngineConfig::obs` is set). Policies that emit
-    /// predicted-vs-realized metrics keep the handle; the default ignores it.
-    fn attach_obs(&mut self, _obs: &Arc<Obs>) {}
 }
 
 /// Dirty-page-count histogram buckets (pages per checkpoint).
@@ -361,29 +310,26 @@ impl EngineReport {
 
     /// Mean compression ratio across checkpointed intervals.
     pub fn mean_ratio(&self) -> f64 {
-        let cks: Vec<&IntervalRecord> = self.intervals.iter().filter(|r| r.raw_bytes > 0).collect();
-        if cks.is_empty() {
-            return 0.0;
-        }
-        cks.iter().map(|r| r.ratio()).sum::<f64>() / cks.len() as f64
+        self.checkpoint_mean(IntervalRecord::ratio)
     }
 
     /// Mean delta latency across checkpointed intervals.
     pub fn mean_dl(&self) -> f64 {
-        let cks: Vec<&IntervalRecord> = self.intervals.iter().filter(|r| r.raw_bytes > 0).collect();
-        if cks.is_empty() {
-            return 0.0;
-        }
-        cks.iter().map(|r| r.dl).sum::<f64>() / cks.len() as f64
+        self.checkpoint_mean(|r| r.dl)
     }
 
     /// Mean compressed delta size across checkpointed intervals, bytes.
     pub fn mean_ds(&self) -> f64 {
+        self.checkpoint_mean(|r| r.ds_bytes as f64)
+    }
+
+    /// Mean of `f` over the checkpointed intervals (0 when there are none).
+    fn checkpoint_mean(&self, f: impl Fn(&IntervalRecord) -> f64) -> f64 {
         let cks: Vec<&IntervalRecord> = self.intervals.iter().filter(|r| r.raw_bytes > 0).collect();
         if cks.is_empty() {
             return 0.0;
         }
-        cks.iter().map(|r| r.ds_bytes as f64).sum::<f64>() / cks.len() as f64
+        cks.iter().map(|r| f(r)).sum::<f64>() / cks.len() as f64
     }
 }
 
@@ -926,16 +872,8 @@ pub fn run_engine_with_faults(
             // which the scorer routes through the previous params.
             let tail_w = now - last_cut;
             if tail_w > 1e-9 {
-                records.push(IntervalRecord {
-                    seq,
-                    w: tail_w,
-                    c1: 0.0,
-                    dl: 0.0,
-                    ds_bytes: 0,
-                    raw_bytes: 0,
-                    dirty_pages: process.space().dirty_page_count(),
-                    params: IntervalParams::symmetric(0.0, 0.0, 0.0),
-                });
+                let dirty_pages = process.space().dirty_page_count();
+                records.push(IntervalRecord::tail(seq, tail_w, dirty_pages));
             }
             break;
         }
@@ -975,7 +913,7 @@ pub fn run_engine_with_faults(
 /// Lock the shared storage hierarchy, converting a poisoned mutex (a
 /// previous holder panicked mid-commit, so the hierarchy's levels may be
 /// inconsistent) into a typed error instead of a cascading panic.
-fn lock_storage(
+pub(crate) fn lock_storage(
     storage: &Arc<Mutex<StorageHierarchy>>,
 ) -> Result<std::sync::MutexGuard<'_, StorageHierarchy>, RecoveryError> {
     storage.lock().map_err(|_| {
@@ -1016,7 +954,7 @@ pub fn score_net2(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::FixedIntervalPolicy;
+    use aic_core::baselines::FixedIntervalPolicy;
     use aic_memsim::workloads::generic::StreamingWorkload;
     use aic_memsim::workloads::WriteStyle;
     use aic_memsim::PAGE_SIZE;

@@ -9,16 +9,14 @@
 //! not cut again until its previous job has drained (the paper's
 //! single-core rule, now contended).
 
+use aic_core::{CheckpointPolicy, Decision, DecisionCtx, IntervalRecord};
 use aic_delta::pa::{pa_encode, PaParams};
 use aic_memsim::{Page, SimProcess, SimTime, Snapshot, PAGE_SIZE};
 use aic_model::nonstatic::IntervalParams;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::engine::{
-    score_net2, CheckpointPolicy, Compressor, Decision, DecisionCtx, EngineConfig, EngineReport,
-    IntervalRecord, TICK,
-};
+use crate::engine::{score_net2, Compressor, EngineConfig, EngineReport, TICK};
 
 /// Per-process outcome of a fleet run (an [`EngineReport`] with the shared
 /// core's queueing baked into the interval parameters).
@@ -307,16 +305,7 @@ pub fn run_fleet(
             let base_time = s.process.base_time().as_secs();
             let tail = s.process.now().as_secs() - s.last_cut;
             if tail > 1e-9 {
-                s.records.push(IntervalRecord {
-                    seq: s.seq,
-                    w: tail,
-                    c1: 0.0,
-                    dl: 0.0,
-                    ds_bytes: 0,
-                    raw_bytes: 0,
-                    dirty_pages: 0,
-                    params: IntervalParams::symmetric(0.0, 0.0, 0.0),
-                });
+                s.records.push(IntervalRecord::tail(s.seq, tail, 0));
             }
             let net2 = score_net2(&s.records, &s.initial_params, &config.rates, base_time);
             EngineReport {
@@ -337,7 +326,7 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::FixedIntervalPolicy;
+    use aic_core::baselines::FixedIntervalPolicy;
     use aic_memsim::workloads::generic::StreamingWorkload;
     use aic_memsim::workloads::WriteStyle;
     use aic_model::FailureRates;

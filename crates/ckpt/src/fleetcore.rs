@@ -29,16 +29,16 @@ use std::collections::HashSet;
 
 use bytes::Bytes;
 
+use aic_core::baselines::sic_optimal_w;
+use aic_core::PolicyEnv;
 use aic_delta::pa::PaDeltaFile;
 use aic_delta::stats::EncodeReport;
 use aic_memsim::{Snapshot, PAGE_SIZE};
 use aic_obs::Counter;
 
-use crate::engine::{Compressor, EngineConfig};
 use crate::fleet::SharedDatasetFleet;
 use crate::format::CheckpointFile;
 use crate::log::RecordLoc;
-use crate::policies::sic_optimal_w_pooled;
 use crate::recovery::{RecoveredImage, RecoveryError, StorageHierarchy};
 use crate::service::{ServiceConfig, TenantPolicy};
 use crate::storage::{BandwidthModel, FlatStore, Raid5Group};
@@ -137,7 +137,7 @@ impl TenantCore {
     /// cadence, the running means, and the adaptive w* re-solve. The solver
     /// only ever sees intrinsic (queue-free, full pool width) encode
     /// latency, so the trajectory matches a solo run.
-    fn calibrate(&mut self, cut: &Cut, solver_cfg: &EngineConfig) {
+    fn calibrate(&mut self, cut: &Cut, env: &PolicyEnv) {
         self.round = cut.round;
         self.commits += 1;
         if cut.full {
@@ -151,13 +151,12 @@ impl TenantCore {
         self.sum_ds += cut.ds;
         if let TenantPolicy::Adaptive { bootstrap } = self.policy {
             let n = self.commits as f64;
-            self.w = sic_optimal_w_pooled(
+            self.w = sic_optimal_w(
                 self.sum_c1 / n,
                 self.sum_dl / n,
                 self.sum_ds / n,
-                solver_cfg,
+                env,
                 self.rounds as f64 * bootstrap,
-                solver_cfg.cores,
             );
         }
     }
@@ -281,8 +280,8 @@ pub(crate) struct Departure {
 pub(crate) struct FleetCore {
     pub hier: StorageHierarchy,
     pub transport: NetworkTransport,
-    /// The engine view the adaptive w* solver sees of the shared fleet.
-    solver_cfg: EngineConfig,
+    /// The deployment the adaptive w* solver plans for.
+    env: PolicyEnv,
     seq_next: u64,
     violations: u64,
     violation_counter: Option<Counter>,
@@ -290,7 +289,8 @@ pub(crate) struct FleetCore {
 
 impl FleetCore {
     /// Build the hierarchy (testbed store models, `cfg`'s segment capacity
-    /// and dedup, `cfg.obs` attached), the transport and the solver view.
+    /// and dedup, `cfg.obs` attached), the transport and the solver's
+    /// [`PolicyEnv`].
     /// `violation_counter` mirrors [`FleetCore::violations`] into a metric.
     pub fn new(cfg: &ServiceConfig, violation_counter: Option<Counter>) -> Self {
         let mut hier = StorageHierarchy::with_segments(
@@ -314,16 +314,10 @@ impl FleetCore {
             hier.attach_obs(o);
             transport.attach_obs(o);
         }
-        let mut solver_cfg = EngineConfig::testbed(cfg.rates.clone());
-        solver_cfg.b3 = cfg.b3;
-        solver_cfg.sharing_factor = cfg.sharing_factor;
-        solver_cfg.cores = cfg.cores;
-        solver_cfg.cost_model = cfg.cost_model;
-        solver_cfg.compressor = Compressor::PaDelta(cfg.pa);
         FleetCore {
             hier,
             transport,
-            solver_cfg,
+            env: cfg.policy_env(),
             seq_next: 1,
             violations: 0,
             violation_counter,
@@ -387,7 +381,7 @@ impl FleetCore {
         let c2 = receipt.raid.seconds;
         let out = self.transport.enqueue(seq, wire, at + c2);
         self.hier.apply_acks(&out.events)?;
-        t.calibrate(&cut, &self.solver_cfg);
+        t.calibrate(&cut, &self.env);
         Ok(Committed {
             seq,
             full: cut.full,

@@ -14,10 +14,11 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use aic_core::CheckpointPolicy;
 use aic_memsim::SimProcess;
 use aic_model::FailureRates;
 
-use crate::engine::{run_engine_with_faults, CheckpointPolicy, EngineConfig, EngineReport};
+use crate::engine::{lock_storage, run_engine_with_faults, EngineConfig, EngineReport};
 use crate::failure::FailureInjector;
 use crate::recovery::{RecoveryError, RecoveryLevel, StorageHierarchy};
 
@@ -138,14 +139,7 @@ pub fn run_with_faults(
         .get_or_insert_with(|| Arc::new(Mutex::new(StorageHierarchy::coastal(4))))
         .clone();
     let (report, faults) = run_engine_with_faults(process, policy, &config, schedule)?;
-    let stored_bytes = storage
-        .lock()
-        .map_err(|_| {
-            RecoveryError::StorageUnavailable(
-                "storage mutex poisoned by a panicked holder".to_string(),
-            )
-        })?
-        .stored_bytes();
+    let stored_bytes = lock_storage(&storage)?.stored_bytes();
     Ok(FaultReport {
         report,
         faults,
@@ -156,7 +150,7 @@ pub fn run_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::FixedIntervalPolicy;
+    use aic_core::baselines::FixedIntervalPolicy;
     use aic_memsim::workloads::generic::StreamingWorkload;
     use aic_memsim::workloads::WriteStyle;
     use aic_memsim::{SimTime, Snapshot};

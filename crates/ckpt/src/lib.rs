@@ -2,7 +2,9 @@
 //!
 //! Everything between the simulated process ([`aic_memsim`]) and the
 //! analytic models ([`aic_model`]): the moving parts of the paper's testbed
-//! (Fig. 9 / Fig. 10).
+//! (Fig. 9 / Fig. 10). The deciders that choose when to checkpoint (AIC,
+//! SIC, Moody and the ablation baselines) live one layer below, in
+//! [`aic_core`].
 //!
 //! * [`format`](mod@format) — checkpoint files: full, incremental, and delta-compressed
 //!   payloads with live-page sets, serialization and integrity checksums;
@@ -35,9 +37,8 @@
 //! * [`fleet`] — several processes sharing one checkpointing core (the
 //!   sharing factor of Fig. 7, measured through real FIFO contention
 //!   instead of an assumed even split);
-//! * [`policies`] — the static baselines: fixed-interval SIC and the
-//!   full-checkpoint Moody configuration (the adaptive policy is
-//!   `aic-core`'s contribution);
+//! * [`policies`] — the SIC solve in the `EngineConfig` form the fleet
+//!   benchmark calls;
 //! * [`sim`] — an *independently coded* discrete-event Monte-Carlo
 //!   simulator of the concurrent-L2L3 and Moody operational semantics, used
 //!   to cross-validate the Markov models;
@@ -90,7 +91,7 @@ pub mod wallclock;
 
 pub use chain::CheckpointChain;
 pub use clock::{ClockSource, MonotonicClock, VirtualClock};
-pub use engine::{run_engine, run_engine_with_faults, EngineConfig, EngineReport, IntervalRecord};
+pub use engine::{run_engine, run_engine_with_faults, EngineConfig, EngineReport};
 pub use format::{CheckpointFile, CheckpointKind};
 pub use harness::{run_with_faults, FailureSchedule, FaultEvent, FaultReport, FaultSpec};
 pub use transport::{

@@ -39,6 +39,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+use aic_core::PolicyEnv;
 use aic_delta::pa::{plan_shards, PaDeltaFile, PaParams};
 use aic_delta::stats::{CostModel, EncodeReport};
 use aic_model::FailureRates;
@@ -46,7 +47,7 @@ use aic_obs::{Counter, Field, Gauge, Histogram, Obs};
 
 use crate::clock::{ClockSource, VirtualClock};
 use crate::concurrent::{CompressorPool, Sched};
-use crate::engine::TICK;
+use crate::engine::{EngineConfig, TICK};
 use crate::fleet::SharedDatasetFleet;
 use crate::fleetcore::{
     build_cut, local_write_latency, FleetCore, RecoveryWindow, TenantCore, BLOCK_US_BUCKETS,
@@ -155,6 +156,17 @@ impl ServiceConfig {
             pa: PaParams::default(),
             rates,
             obs: None,
+        }
+    }
+
+    /// The testbed engine's deployment with this fleet's link, model and pool.
+    pub fn policy_env(&self) -> PolicyEnv {
+        PolicyEnv {
+            b3: self.b3,
+            cost_model: self.cost_model,
+            sharing_factor: self.sharing_factor,
+            cores: self.cores,
+            ..EngineConfig::testbed(self.rates.clone()).policy_env()
         }
     }
 }

@@ -18,31 +18,26 @@
 //!   (Cesa-Bianchi et al.) that adapts the model after every checkpoint;
 //! * [`predictor`] — the three-target predictor (`c1(i)`, `dl(i)`, `ds(i)`)
 //!   bootstrapped from four samples, then updated online — no profiling;
-//! * [`baselines`] — ablation deciders: a clairvoyant oracle (exact costs
-//!   via trial compression) and a content-blind running-mean predictor;
 //! * [`policy`] — the **AIC checkpoint decider**: every decision second,
 //!   predict the current interval's cost, solve for `w*_L` by EVT +
-//!   Newton–Raphson, and checkpoint if `w*_L` is already behind us.
+//!   Newton–Raphson, and checkpoint if `w*_L` is already behind us;
+//! * [`decider`] — the decider slot every policy fills: the
+//!   [`CheckpointPolicy`] trait, what it sees each tick ([`DecisionCtx`]),
+//!   what it learns from each cut ([`IntervalRecord`]), and the deployment
+//!   it plans for ([`PolicyEnv`]);
+//! * [`baselines`] — the deciders AIC is compared with: fixed-interval SIC
+//!   with its offline solve, the Moody configuration, a dirty-page budget,
+//!   and two ablation deciders (a clairvoyant oracle with exact costs via
+//!   trial compression, and a content-blind running-mean predictor).
 //!
-//! ```
-//! use aic_core::policy::{AicConfig, AicPolicy};
-//! use aic_ckpt::engine::{run_engine, EngineConfig};
-//! use aic_memsim::{SimProcess, SimTime};
-//! use aic_memsim::workloads::generic::PhasedWorkload;
-//! use aic_model::FailureRates;
-//!
-//! let rates = FailureRates::three(2e-7, 1.8e-6, 4e-7).with_total(1e-3);
-//! let config = EngineConfig::testbed(rates.clone());
-//! let mut policy = AicPolicy::new(AicConfig::testbed(rates), &config);
-//! let wl = PhasedWorkload::new("demo", 1, 512, 8.0, 2.0, 1, 30,
-//!                              SimTime::from_secs(60.0));
-//! let report = run_engine(SimProcess::new(Box::new(wl)), &mut policy, &config);
-//! assert!(report.net2 >= 1.0);
-//! ```
+//! This crate is the policy layer beneath `aic-ckpt`: the checkpoint engine
+//! there consults a [`CheckpointPolicy`] every tick (its module docs run
+//! AIC end to end).
 
 #![warn(missing_docs)]
 
 pub mod baselines;
+pub mod decider;
 pub mod features;
 pub mod metrics;
 pub mod online;
@@ -52,5 +47,6 @@ pub mod regress;
 pub mod sample;
 pub mod stepwise;
 
+pub use decider::{CheckpointPolicy, Decision, DecisionCtx, IntervalRecord, PolicyEnv};
 pub use policy::{AicConfig, AicPolicy};
 pub use predictor::AicPredictor;

@@ -9,7 +9,7 @@
 //! static interval, AIC's adaptive cut times, and the resulting NET².
 
 use aic::ckpt::engine::run_engine;
-use aic::ckpt::policies::{calibration_means, moody_config, sic_optimal_w, FixedIntervalPolicy};
+use aic::core::baselines::{calibration_means, moody_config, sic_optimal_w, FixedIntervalPolicy};
 use aic::core::policy::{AicConfig, AicPolicy};
 use aic_bench::experiments::{geometry_scaled_engine, scaled_persona, RunScale};
 
@@ -50,8 +50,14 @@ fn main() {
     );
 
     // --- SIC.
-    let w_star = sic_optimal_w(means.c1, means.dl, means.ds, &config, cal_report.base_time)
-        .clamp(2.0, cal_report.base_time);
+    let w_star = sic_optimal_w(
+        means.c1,
+        means.dl,
+        means.ds,
+        &config.policy_env(),
+        cal_report.base_time,
+    )
+    .clamp(2.0, cal_report.base_time);
     let mut sic = FixedIntervalPolicy::new(w_star);
     let sic_report = run_engine(scaled_persona(&persona, &scale), &mut sic, &config);
     println!(
@@ -62,7 +68,7 @@ fn main() {
     // --- AIC.
     let mut aic_cfg = AicConfig::testbed(config.rates.clone());
     aic_cfg.bootstrap_interval = (15.0 * duration).max(2.0);
-    let mut aic = AicPolicy::new(aic_cfg, &config);
+    let mut aic = AicPolicy::new(aic_cfg, &config.policy_env());
     let aic_report = run_engine(scaled_persona(&persona, &scale), &mut aic, &config);
     println!(
         "AIC: {} cuts ({} adaptive) → NET^2 = {:.4}",
@@ -78,7 +84,11 @@ fn main() {
     // --- Moody.
     let mut probe = scaled_persona(&persona, &scale);
     probe.run_until(aic::memsim::SimTime::ZERO);
-    let moody = moody_config(probe.space().footprint_bytes(), &config, &config.rates);
+    let moody = moody_config(
+        probe.space().footprint_bytes(),
+        &config.policy_env(),
+        &config.rates,
+    );
     println!(
         "Moody: w = {:.1} s, schedule n1={} n2={} → NET^2 = {:.4}",
         moody.w, moody.sched.n1, moody.sched.n2, moody.net2

@@ -21,8 +21,8 @@
 use aic::ckpt::chain::CheckpointChain;
 use aic::ckpt::engine::{run_engine, EngineConfig};
 use aic::ckpt::format::CheckpointFile;
-use aic::ckpt::policies::FixedIntervalPolicy;
 use aic::ckpt::storage::{BandwidthModel, FlatStore, Raid5Group, Store};
+use aic::core::baselines::FixedIntervalPolicy;
 use aic::memsim::workloads::generic::GrowShrinkWorkload;
 use aic::memsim::{SimProcess, SimTime};
 use aic::model::FailureRates;

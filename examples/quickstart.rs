@@ -38,7 +38,7 @@ fn main() {
 
     // The paper's contribution: adaptive incremental checkpointing
     // (online stepwise-regression predictor + Newton–Raphson decider).
-    let mut policy = AicPolicy::new(AicConfig::testbed(rates), &config);
+    let mut policy = AicPolicy::new(AicConfig::testbed(rates), &config.policy_env());
     let report = run_engine(SimProcess::new(Box::new(workload)), &mut policy, &config);
 
     println!("workload : {}", report.workload);

@@ -4,7 +4,7 @@
 //! must beat the static baseline precisely because of that.
 
 use aic::ckpt::engine::{run_engine, EngineConfig};
-use aic::ckpt::policies::{calibration_means, sic_optimal_w, FixedIntervalPolicy};
+use aic::core::baselines::{calibration_means, sic_optimal_w, FixedIntervalPolicy};
 use aic::core::policy::{AicConfig, AicPolicy};
 use aic::model::FailureRates;
 use aic_bench::experiments::{geometry_scaled_engine, scaled_persona, RunScale};
@@ -24,7 +24,7 @@ fn scale() -> RunScale {
 fn aic_run(name: &str, config: &EngineConfig) -> (aic::ckpt::engine::EngineReport, u64) {
     let mut cfg = AicConfig::testbed(rates());
     cfg.bootstrap_interval = 4.0;
-    let mut policy = AicPolicy::new(cfg, config);
+    let mut policy = AicPolicy::new(cfg, &config.policy_env());
     let report = run_engine(scaled_persona(name, &scale()), &mut policy, config);
     (report, policy.adaptive_cuts())
 }
@@ -46,7 +46,7 @@ fn aic_exploits_milc_parity_phases() {
     config.b3 /= 4.0;
     let mut cfg = AicConfig::testbed(rates());
     cfg.bootstrap_interval = 4.0;
-    let mut policy = AicPolicy::new(cfg, &config);
+    let mut policy = AicPolicy::new(cfg, &config.policy_env());
     let aic_report = run_engine(scaled_persona("milc", &long), &mut policy, &config);
     let adaptive = policy.adaptive_cuts();
     assert!(
@@ -72,8 +72,14 @@ fn aic_beats_calibrated_sic_on_milc() {
     let mut cal = FixedIntervalPolicy::new(6.0);
     let cal_report = run_engine(scaled_persona("milc", &scale()), &mut cal, &config);
     let means = calibration_means(&cal_report.intervals);
-    let w_star = sic_optimal_w(means.c1, means.dl, means.ds, &config, cal_report.base_time)
-        .clamp(2.0, cal_report.base_time);
+    let w_star = sic_optimal_w(
+        means.c1,
+        means.dl,
+        means.ds,
+        &config.policy_env(),
+        cal_report.base_time,
+    )
+    .clamp(2.0, cal_report.base_time);
     let mut sic = FixedIntervalPolicy::new(w_star);
     let sic_report = run_engine(scaled_persona("milc", &scale()), &mut sic, &config);
 
@@ -109,7 +115,7 @@ fn aic_predictor_learns_the_workload_online() {
     let config = geometry_scaled_engine(&scale());
     let mut cfg = AicConfig::testbed(rates());
     cfg.bootstrap_interval = 4.0;
-    let mut policy = AicPolicy::new(cfg, &config);
+    let mut policy = AicPolicy::new(cfg, &config.policy_env());
     let report = run_engine(scaled_persona("sjeng", &scale()), &mut policy, &config);
 
     assert!(policy.predictor().ready());

@@ -7,8 +7,8 @@ use bytes::Bytes;
 use aic::ckpt::chain::CheckpointChain;
 use aic::ckpt::engine::{run_engine, Compressor, EngineConfig};
 use aic::ckpt::format::CheckpointFile;
-use aic::ckpt::policies::FixedIntervalPolicy;
 use aic::ckpt::storage::{BandwidthModel, FlatStore, Raid5Group, Store};
+use aic::core::baselines::FixedIntervalPolicy;
 use aic::memsim::workloads::generic::{GrowShrinkWorkload, StreamingWorkload};
 use aic::memsim::workloads::WriteStyle;
 use aic::memsim::{SimProcess, SimTime};

@@ -11,11 +11,11 @@ use proptest::prelude::*;
 
 use aic::ckpt::engine::EngineConfig;
 use aic::ckpt::harness::{run_with_faults, FailureSchedule};
-use aic::ckpt::policies::FixedIntervalPolicy;
 use aic::ckpt::recovery::StorageHierarchy;
 use aic::ckpt::transport::{
     LinkConfig, NetworkTransport, RetryPolicy, TransportEvent, TransportFaults, WriteBehindConfig,
 };
+use aic::core::baselines::FixedIntervalPolicy;
 use aic::memsim::workloads::generic::PhasedWorkload;
 use aic::memsim::{SimProcess, SimTime};
 use aic::model::params::CoastalProfile;
