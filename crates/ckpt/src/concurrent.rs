@@ -28,11 +28,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-use crossbeam::channel::{bounded, Receiver, Sender};
 
 use aic_delta::pa::{
     pa_assemble, pa_encode_shard_scratch, plan_shards, PaDeltaFile, PaParams, PageRecord, Shard,
@@ -97,7 +96,7 @@ struct Job {
     params: PaParams,
     parts: Box<[Mutex<Option<ShardPart>>]>,
     remaining: AtomicUsize,
-    tx: Sender<Encoded>,
+    tx: SyncSender<Encoded>,
 }
 
 impl Job {
@@ -106,7 +105,7 @@ impl Job {
         dirty: Snapshot,
         params: PaParams,
         shards: usize,
-        tx: Sender<Encoded>,
+        tx: SyncSender<Encoded>,
     ) -> Arc<Self> {
         Arc::new(Job {
             prev,
@@ -337,7 +336,7 @@ impl CompressorPool {
         params: PaParams,
     ) -> Pending<'_> {
         let plan = plan_shards(dirty.len(), self.workers);
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.in_flight.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = &self.obs {
             o.jobs.inc();
