@@ -18,7 +18,7 @@ use aic_core::CheckpointPolicy;
 use aic_delta::encode::EncodeParams;
 use aic_delta::pa::PaParams;
 
-use crate::experiments::{geometry_scaled_engine, scaled_persona, testbed_rates, RunScale};
+use crate::experiments::{geometry_scaled_engine, scaled_persona, RunScale};
 use crate::output::{f, markdown_table, pct};
 
 /// One ablation row.
@@ -79,7 +79,7 @@ pub fn policies(persona: &str, scale: &RunScale) -> Vec<AblationRow> {
     let config: EngineConfig = geometry_scaled_engine(scale);
     let env = config.policy_env();
     let bootstrap = (15.0 * scale.duration).max(2.0);
-    let mut aic_cfg = AicConfig::testbed(testbed_rates());
+    let mut aic_cfg = AicConfig::testbed();
     aic_cfg.bootstrap_interval = bootstrap;
     let fixed = FixedIntervalPolicy::new((20.0 * scale.duration).max(3.0));
     let budget = DirtyBudgetPolicy::new(1024, (60.0 * scale.duration).max(5.0));
@@ -121,7 +121,7 @@ pub fn metric_choice(persona: &str, scale: &RunScale) -> Vec<AblationRow> {
     ]
     .into_iter()
     .map(|(label, sim, var)| {
-        let mut aic_cfg = AicConfig::testbed(testbed_rates());
+        let mut aic_cfg = AicConfig::testbed();
         aic_cfg.bootstrap_interval = (15.0 * scale.duration).max(2.0);
         aic_cfg.similarity = sim;
         aic_cfg.variation = var;
@@ -138,7 +138,7 @@ pub fn sample_buffer(persona: &str, scale: &RunScale, capacities: &[usize]) -> V
     capacities
         .iter()
         .map(|&cap| {
-            let mut aic_cfg = AicConfig::testbed(testbed_rates());
+            let mut aic_cfg = AicConfig::testbed();
             aic_cfg.bootstrap_interval = (15.0 * scale.duration).max(2.0);
             aic_cfg.sb_capacity = cap;
             let mut aic = AicPolicy::new(aic_cfg, &config.policy_env());

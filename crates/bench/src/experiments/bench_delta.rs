@@ -1,19 +1,17 @@
 //! `repro bench` (extension — engineering benchmark, no paper counterpart):
 //! the workspace's one microbenchmark harness.
 //!
-//! Three per-page encode regimes of the Xdelta3-PA hot path, over
-//! snapshot pairs in three similarity regimes (small edits, half-page
-//! rewrites, fresh entropy):
+//! Two per-page encoders of the Xdelta3-PA hot path, over snapshot pairs
+//! in three similarity regimes (small edits, half-page rewrites, fresh
+//! entropy):
 //!
 //! * **reference** — the retained naive encoder (`HashMap` table rebuilt
 //!   per call, byte-at-a-time extension, double-copied literals);
-//! * **cold** — the optimized encoder with a fresh [`SourceIndex`] built
-//!   per page (every page is a cache miss);
-//! * **hot** — the optimized encoder served from a warmed
-//!   [`SourceIndexCache`] (every page is a pointer-equal cache hit).
+//! * **cold** — the optimized encoder, [`pa_encode`], which rebuilds each
+//!   hot page's [`SourceIndex`] in place, as every real run does;
 //!
 //! plus a sweep of the [`CompressorPool`]'s encode over N ∈ {1,2,4,8}
-//! workers with a warm pool cache, both in ns/page. Then one named
+//! workers, both in ns/page. Then one named
 //! [`MicroRow`] per call of the other layers AIC runs on: the other
 //! codecs and PA decode, the model solves behind the decider, the
 //! predictor's page metrics and updates, the substrates (memsim, RAID-5,
@@ -24,7 +22,6 @@
 //! interleaved rounds; `repro bench` writes them to `BENCH_delta.json`.
 //!
 //! [`SourceIndex`]: aic_delta::SourceIndex
-//! [`SourceIndexCache`]: aic_delta::SourceIndexCache
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -39,9 +36,7 @@ use aic_core::policy::AicConfig;
 use aic_core::predictor::AicPredictor;
 use aic_core::sample::SampleBuffer;
 use aic_delta::encode::{encode_with_report, EncodeParams};
-use aic_delta::pa::{
-    full_encode, pa_decode, pa_encode, pa_encode_cached, plan_shards, PaParams, SourceIndexCache,
-};
+use aic_delta::pa::{full_encode, pa_decode, pa_encode, plan_shards, PaParams};
 use aic_delta::reference::encode_with_report_reference;
 use aic_delta::xor::xor_encode;
 use aic_memsim::{AddressSpace, Page, SimTime, Snapshot, PAGE_SIZE};
@@ -70,22 +65,8 @@ pub struct RegimeRow {
     pub regime: &'static str,
     /// Retained naive encoder (pre-optimization baseline).
     pub reference_ns_per_page: f64,
-    /// Optimized encoder, index rebuilt per page (cache miss).
+    /// Optimized encoder, index rebuilt per page.
     pub cold_ns_per_page: f64,
-    /// Optimized encoder, warmed index cache (cache hit).
-    pub hot_ns_per_page: f64,
-}
-
-impl RegimeRow {
-    /// Speedup of the cache-hot path over the naive baseline.
-    pub fn speedup_hot_vs_reference(&self) -> f64 {
-        self.reference_ns_per_page / self.hot_ns_per_page.max(1e-9)
-    }
-
-    /// Speedup of a cache hit over a cache miss (the index-build cost).
-    pub fn speedup_hot_vs_cold(&self) -> f64 {
-        self.cold_ns_per_page / self.hot_ns_per_page.max(1e-9)
-    }
 }
 
 /// One pooled-encode measurement.
@@ -103,8 +84,7 @@ pub struct PoolPoint {
     pub threads: usize,
     /// Shards the job is planned into at this width.
     pub shards: usize,
-    /// Median wall-clock ns per page for this width's effective plan
-    /// (warm cache).
+    /// Median wall-clock ns per page for this width's effective plan.
     pub ns_per_page: f64,
 }
 
@@ -137,7 +117,7 @@ pub struct BenchReport {
     pub available_parallelism: usize,
     /// Per-regime encode medians.
     pub regimes: Vec<RegimeRow>,
-    /// Pooled sweep (half-rewrite regime, warm cache).
+    /// Pooled sweep (half-rewrite regime).
     pub pool: Vec<PoolPoint>,
     /// True when every swept width encodes on the same number of threads
     /// (a single-core host, or a snapshot too small to shard): the sweep
@@ -161,14 +141,10 @@ impl BenchReport {
         for (i, r) in self.regimes.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"regime\": \"{}\", \"reference_ns_per_page\": {:.1}, \
-                 \"cold_ns_per_page\": {:.1}, \"hot_ns_per_page\": {:.1}, \
-                 \"speedup_hot_vs_reference\": {:.2}, \"speedup_hot_vs_cold\": {:.2}}}{}\n",
+                 \"cold_ns_per_page\": {:.1}}}{}\n",
                 r.regime,
                 r.reference_ns_per_page,
                 r.cold_ns_per_page,
-                r.hot_ns_per_page,
-                r.speedup_hot_vs_reference(),
-                r.speedup_hot_vs_cold(),
                 if i + 1 < self.regimes.len() { "," } else { "" }
             ));
         }
@@ -360,7 +336,7 @@ impl<'a> Calls<'a> {
 /// `AicConfig::testbed`: `decide_cost` per decision tick (the prediction
 /// and the EVT + Newton–Raphson search), `metric_cost` per sampled page.
 fn charged_ns(name: &str) -> Option<f64> {
-    let aic = AicConfig::testbed(CoastalProfile::default().rates());
+    let aic = AicConfig::testbed();
     match name {
         "aic_decision_evt_nr" | "predictor_predict" => Some(aic.decide_cost * 1e9),
         "sample_buffer_offer" => Some(aic.metric_cost * 1e9),
@@ -595,16 +571,12 @@ pub fn run(scale: &RunScale) -> BenchReport {
     let regimes = targets
         .iter()
         .map(|&(regime, ref target)| {
-            let cache = SourceIndexCache::new();
-            // Warm-up: populate the cache.
-            pa_encode_cached(&prev, target, &params, &cache);
-            // Interleave the three variants within each sample round so a
-            // load spike on a shared machine inflates all three columns of
-            // that round instead of just one — check()'s cold-vs-reference
+            // Interleave the two encoders within each sample round so a
+            // load spike on a shared machine inflates both columns of that
+            // round instead of just one — check()'s cold-vs-reference
             // comparison then sees paired medians, not decorrelated noise.
             let mut reference_t = Vec::with_capacity(samples);
             let mut cold_t = Vec::with_capacity(samples);
-            let mut hot_t = Vec::with_capacity(samples);
             for _ in 0..samples {
                 reference_t.push(time_ns(&mut || {
                     for (idx, page) in target.iter() {
@@ -619,15 +591,11 @@ pub fn run(scale: &RunScale) -> BenchReport {
                 cold_t.push(time_ns(&mut || {
                     black_box(pa_encode(&prev, target, &params));
                 }));
-                hot_t.push(time_ns(&mut || {
-                    black_box(pa_encode_cached(&prev, target, &params, &cache));
-                }));
             }
             RegimeRow {
                 regime,
                 reference_ns_per_page: median(reference_t) / pages as f64,
                 cold_ns_per_page: median(cold_t) / pages as f64,
-                hot_ns_per_page: median(hot_t) / pages as f64,
             }
         })
         .collect();
@@ -650,7 +618,7 @@ pub fn run(scale: &RunScale) -> BenchReport {
     }
     let encode = |pool: &CompressorPool| pool.encode(0, prev.clone(), target.clone(), params);
     for (_, pool) in &pools {
-        encode(pool); // warm-up: populate the pool's index cache
+        encode(pool); // warm-up: start the threads, size their scratch
     }
     let mut times = vec![Vec::with_capacity(samples); pools.len()];
     for _ in 0..samples {
@@ -701,14 +669,7 @@ pub fn render(report: &BenchReport) -> String {
         report.pages, report.samples, report.available_parallelism
     );
     out.push_str(&markdown_table(
-        &[
-            "regime",
-            "reference (ns)",
-            "cold (ns)",
-            "hot (ns)",
-            "hot vs reference",
-            "hot vs cold",
-        ],
+        &["regime", "reference (ns)", "cold (ns)"],
         &report
             .regimes
             .iter()
@@ -717,14 +678,11 @@ pub fn render(report: &BenchReport) -> String {
                     r.regime.to_string(),
                     f(r.reference_ns_per_page),
                     f(r.cold_ns_per_page),
-                    f(r.hot_ns_per_page),
-                    format!("{:.2}x", r.speedup_hot_vs_reference()),
-                    format!("{:.2}x", r.speedup_hot_vs_cold()),
                 ]
             })
             .collect::<Vec<_>>(),
     ));
-    out.push_str("\npooled encode, half-rewrite, warm cache:\n\n");
+    out.push_str("\npooled encode, half-rewrite:\n\n");
     out.push_str(&markdown_table(
         &["workers", "threads", "shards", "ns/page"],
         &report
@@ -777,7 +735,6 @@ mod tests {
         for r in &report.regimes {
             assert!(r.reference_ns_per_page > 0.0, "{r:?}");
             assert!(r.cold_ns_per_page > 0.0, "{r:?}");
-            assert!(r.hot_ns_per_page > 0.0, "{r:?}");
         }
         for p in &report.pool {
             assert!(p.ns_per_page > 0.0, "{p:?}");
@@ -830,7 +787,7 @@ mod tests {
             "\"regimes\"",
             "\"pool\"",
             "\"degenerate\"",
-            "\"speedup_hot_vs_reference\"",
+            "\"cold_ns_per_page\"",
             "\"workers\": 8",
             "\"micro\"",
             "\"name\": \"aic_decision_evt_nr\"",
@@ -862,7 +819,6 @@ mod tests {
             regime,
             reference_ns_per_page: reference,
             cold_ns_per_page: cold,
-            hot_ns_per_page: 1.0,
         };
         let point = |workers, ns| PoolPoint {
             workers,

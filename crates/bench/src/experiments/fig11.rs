@@ -55,7 +55,7 @@ pub fn measure(name: &str, scale: &RunScale, config: &EngineConfig) -> Fig11Row 
     let sic = run_engine(scaled_persona(name, scale), &mut sic_policy, config);
 
     // --- AIC.
-    let mut aic_cfg = AicConfig::testbed(config.rates.clone());
+    let mut aic_cfg = AicConfig::testbed();
     aic_cfg.bootstrap_interval = (15.0 * scale.duration).max(2.0);
     let mut aic_policy = AicPolicy::new(aic_cfg, &env);
     let aic = run_engine(scaled_persona(name, scale), &mut aic_policy, config);

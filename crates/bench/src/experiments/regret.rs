@@ -138,7 +138,7 @@ pub fn run(persona: &str, scale: &RunScale, ticks: usize, tick_len: f64) -> Regr
         let rep = run_engine(scaled_persona(persona, &clipped(0)), &mut policy, &config);
         best_fixed = best_fixed.min(rep.net2);
     }
-    let mut aic_cfg = AicConfig::testbed(config.rates.clone());
+    let mut aic_cfg = AicConfig::testbed();
     aic_cfg.bootstrap_interval = (horizon / 12.0).max(2.0);
     let mut aic_policy = AicPolicy::new(aic_cfg, &config.policy_env());
     let aic = run_engine(

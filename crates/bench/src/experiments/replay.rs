@@ -127,7 +127,7 @@ pub fn run(scale: &RunScale) -> ReplayOutcome {
 
     // Lower the bootstrap cadence so the AIC predictor gets its four
     // samples and starts adapting even at CI scale.
-    let mut aic_cfg = AicConfig::testbed(cfg.rates.clone());
+    let mut aic_cfg = AicConfig::testbed();
     aic_cfg.bootstrap_interval = (base / 12.0).clamp(1.0, 15.0);
     let mut policy = AicPolicy::new(aic_cfg, &cfg.policy_env());
 

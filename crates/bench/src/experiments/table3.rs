@@ -9,9 +9,7 @@ use aic_delta::encode::EncodeParams;
 use aic_delta::pa::PaParams;
 use aic_memsim::workloads::spec::ALL_PERSONAS;
 
-use crate::experiments::{
-    scaled_persona, sic_calibration, testbed_engine, testbed_rates, RunScale,
-};
+use crate::experiments::{scaled_persona, sic_calibration, testbed_engine, RunScale};
 use crate::output::{f, markdown_table, pct};
 
 /// One Table 3 row.
@@ -71,7 +69,7 @@ pub fn measure(name: &str, scale: &RunScale) -> Table3Row {
     );
 
     // AIC overhead run.
-    let mut aic_cfg = AicConfig::testbed(testbed_rates());
+    let mut aic_cfg = AicConfig::testbed();
     aic_cfg.bootstrap_interval = (15.0 * scale.duration).max(2.0);
     let mut aic = AicPolicy::new(aic_cfg, &env);
     let aic_report = run_engine(scaled_persona(name, scale), &mut aic, &config);

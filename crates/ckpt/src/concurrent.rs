@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use aic_delta::pa::{
     pa_assemble, pa_encode_shard_scratch, plan_shards, PaDeltaFile, PaParams, PageRecord, Shard,
-    ShardScratch, SourceIndexCache,
+    ShardScratch,
 };
 use aic_delta::stats::EncodeReport;
 use aic_memsim::{Snapshot, PAGE_SIZE};
@@ -60,8 +60,6 @@ struct PoolObs {
     queue_depth: Gauge,
     shards: Counter,
     shard_ns: Histogram,
-    cache_hits: Gauge,
-    cache_misses: Gauge,
 }
 
 impl PoolObs {
@@ -76,8 +74,6 @@ impl PoolObs {
                 &SHARD_NS_BUCKETS,
                 Volatility::Volatile,
             ),
-            cache_hits: m.gauge("pool.cache.hits"),
-            cache_misses: m.gauge("pool.cache.misses"),
         }
     }
 }
@@ -231,10 +227,6 @@ struct Shared {
     queue: Mutex<Queue>,
     work: Condvar,
     quantum: u64,
-    /// Cross-job source-index cache shared by every worker. A hit is only
-    /// taken on exact source equality, so output stays bit-identical to
-    /// the serial encoder.
-    cache: Arc<SourceIndexCache>,
     /// Shards encoded so far.
     shards: AtomicU64,
     /// `pool.shard_encode_ns`, when the pool has obs attached.
@@ -276,7 +268,7 @@ impl Pending<'_> {
     pub fn wait(self) -> (PaDeltaFile, EncodeReport) {
         let out = self.rx.recv().expect("pool worker delivered the job");
         self.pool.in_flight.fetch_sub(1, Ordering::Relaxed);
-        self.pool.refresh_gauges();
+        self.pool.refresh_queue_depth();
         out
     }
 }
@@ -292,9 +284,9 @@ impl CompressorPool {
     /// context-switch and lock-handoff overhead.
     ///
     /// With `obs` attached the pool reports job/shard counts, the
-    /// caller-visible queue depth, wall-clock shard encode latency
-    /// (volatile, batched per worker in a [`HistogramShard`]) and the shared
-    /// source-index cache's hit/miss totals under `pool.*`.
+    /// caller-visible queue depth and wall-clock shard encode latency
+    /// (volatile, batched per worker in a [`HistogramShard`]) under
+    /// `pool.*`.
     pub fn spawn(workers: usize, quantum_bytes: u64, obs: Option<&Arc<Obs>>) -> Self {
         let obs = obs.map(PoolObs::new);
         let workers = workers.max(1);
@@ -303,7 +295,6 @@ impl CompressorPool {
             queue: Mutex::new(Queue::default()),
             work: Condvar::new(),
             quantum: quantum_bytes.max(1),
-            cache: Arc::new(SourceIndexCache::new()),
             shards: AtomicU64::new(0),
             shard_ns: obs.as_ref().map(|o| o.shard_ns.clone()),
         });
@@ -342,7 +333,7 @@ impl CompressorPool {
             o.jobs.inc();
             o.shards.add(plan.len() as u64);
         }
-        self.refresh_gauges();
+        self.refresh_queue_depth();
         let job = Job::new(prev, dirty, params, plan.len(), tx);
         let mut queue = self.shared.queue.lock().expect(POISONED);
         queue.sched.push(tenant, job, plan);
@@ -362,14 +353,11 @@ impl CompressorPool {
         self.submit(tenant, prev, dirty, params).wait()
     }
 
-    /// Refresh the caller-facing gauges: current queue depth and the shared
-    /// cache's cumulative hit/miss totals.
-    fn refresh_gauges(&self) {
+    /// Refresh the caller-facing `pool.queue_depth` gauge.
+    fn refresh_queue_depth(&self) {
         if let Some(o) = &self.obs {
             o.queue_depth
                 .set(self.in_flight.load(Ordering::Relaxed) as f64);
-            o.cache_hits.set(self.shared.cache.hits() as f64);
-            o.cache_misses.set(self.shared.cache.misses() as f64);
         }
     }
 
@@ -386,26 +374,6 @@ impl CompressorPool {
             preemptions: sched.preemptions,
             rounds: sched.rounds,
         }
-    }
-
-    /// The pool's shared cross-job source-index cache (hit/miss counters,
-    /// footprint inspection).
-    pub fn index_cache(&self) -> &Arc<SourceIndexCache> {
-        &self.shared.cache
-    }
-
-    /// Drop every cached source index. **Must** be called whenever the
-    /// caller's notion of "previous state" jumps to a different version —
-    /// restore from checkpoint, recovery rollback — *before* the next job
-    /// is submitted. The per-entry equality check would reject stale
-    /// entries anyway (hits require exact source equality), so this is
-    /// defense in depth plus a memory release, not a correctness patch.
-    ///
-    /// Callers must not invalidate while jobs that should use the old
-    /// entries are in flight; the engine only invalidates at a recovery
-    /// barrier, where it has no job outstanding.
-    pub fn invalidate_cache(&self) {
-        self.shared.cache.invalidate_all();
     }
 }
 
@@ -443,14 +411,8 @@ fn worker_loop(shared: &Shared) {
         };
         if let Some((slot, shard)) = shard {
             let t0 = shard_ns.is_some().then(Instant::now);
-            let part = pa_encode_shard_scratch(
-                &job.prev,
-                &job.dirty,
-                shard,
-                &job.params,
-                Some(&shared.cache),
-                &mut scratch,
-            );
+            let part =
+                pa_encode_shard_scratch(&job.prev, &job.dirty, shard, &job.params, &mut scratch);
             if let (Some(h), Some(t0)) = (&mut shard_ns, t0) {
                 h.observe(t0.elapsed().as_nanos() as u64);
             }
@@ -640,41 +602,29 @@ mod tests {
     }
 
     #[test]
-    fn pool_cache_warms_across_jobs_and_output_stays_identical() {
-        // Encode the same (prev, dirty) job twice: the second run should be
-        // served from the shared index cache (hits == hot pages) and still
-        // produce bit-identical output. Then invalidate and confirm the
-        // next job rebuilds from scratch. The first job must be waited for
-        // before the second is submitted — concurrent jobs may race on
-        // cache population and split the hit/miss counts.
+    fn repeated_jobs_give_identical_bytes_and_one_credit_each() {
+        // Encode the same (prev, dirty) job three times on one tenant: every
+        // run delivers the serial encoder's bytes, the solo quantum never
+        // preempts, and each job takes one DRR credit.
         let prev = snapshot(24, 50);
         let dirty = mutate(&prev, 51);
         let pool = CompressorPool::spawn(4, SOLO_QUANTUM, None);
         let r0 = pool.encode(0, prev.clone(), dirty.clone(), PaParams::default());
-        let r1 = pool.encode(0, prev.clone(), dirty.clone(), PaParams::default());
-        assert_eq!(r0, r1);
         assert_eq!(r0, pa_encode(&prev, &dirty, &PaParams::default()));
-        let cache = pool.index_cache();
-        assert_eq!(cache.misses(), 24, "first job built every hot-page index");
-        assert_eq!(cache.hits(), 24, "second job hit every one");
-
-        pool.invalidate_cache();
-        assert!(cache.is_empty());
-        let r2 = pool.encode(0, prev.clone(), dirty.clone(), PaParams::default());
-        assert_eq!(r2, r0);
-        assert_eq!(cache.misses(), 48, "post-invalidation job rebuilt all 24");
+        for _ in 0..2 {
+            let r = pool.encode(0, prev.clone(), dirty.clone(), PaParams::default());
+            assert_eq!(r, r0);
+        }
         let stats = pool.stats();
         assert_eq!(stats.preemptions, 0, "a solo quantum never preempts");
         assert_eq!(stats.rounds, 3, "one credit per job");
     }
 
     #[test]
-    fn attached_obs_counts_jobs_shards_and_cache_traffic() {
+    fn attached_obs_counts_jobs_shards_and_latency() {
         let obs = Arc::new(Obs::new());
         let prev = snapshot(24, 60);
         let dirty = mutate(&prev, 61);
-        // One tenant: its jobs are dealt first in, first out, so the first
-        // job's indices are built before the later jobs look them up.
         let pool = CompressorPool::spawn(4, SOLO_QUANTUM, Some(&obs));
         let pending: Vec<_> = (0..3)
             .map(|_| pool.submit(0, prev.clone(), dirty.clone(), PaParams::default()))
@@ -692,14 +642,6 @@ mod tests {
         assert_eq!(snap.counter("pool.shards"), Some(shards));
         assert_eq!(shards, 3 * plan_shards(24, 4).len() as u64);
         assert_eq!(snap.gauge("pool.queue_depth"), Some(0.0));
-        // 3 jobs x 24 pages = 72 cache lookups. The hit/miss split is not
-        // exactly 48/24: two workers racing on the same cold page may both
-        // miss (a benign double build), so only the totals are pinned.
-        let misses = snap.gauge("pool.cache.misses").unwrap();
-        let hits = snap.gauge("pool.cache.hits").unwrap();
-        assert_eq!(hits + misses, 72.0, "hits {hits} + misses {misses}");
-        assert!(misses >= 24.0, "first job builds every hot-page index");
-        assert!(hits >= 24.0, "later jobs must mostly hit, got {hits}");
         match &snap.get("pool.shard_encode_ns").unwrap().value {
             aic_obs::SampleValue::Histogram { counts, .. } => {
                 let total: u64 = counts.iter().sum();
@@ -770,7 +712,7 @@ mod tests {
             t0.elapsed().as_nanos() as f64 / PAGES as f64
         };
         for pool in &pools {
-            ns_per_page(pool); // warm the cache and the threads
+            ns_per_page(pool); // warm the threads
         }
         let mut best = [f64::INFINITY; 2];
         for _ in 1..16 {

@@ -33,8 +33,8 @@
 //! use aic_model::FailureRates;
 //!
 //! let rates = FailureRates::three(2e-7, 1.8e-6, 4e-7).with_total(1e-3);
-//! let config = EngineConfig::testbed(rates.clone());
-//! let mut policy = AicPolicy::new(AicConfig::testbed(rates), &config.policy_env());
+//! let config = EngineConfig::testbed(rates);
+//! let mut policy = AicPolicy::new(AicConfig::testbed(), &config.policy_env());
 //! let wl = PhasedWorkload::new("demo", 1, 512, 8.0, 2.0, 1, 30,
 //!                              SimTime::from_secs(60.0));
 //! let report = run_engine(SimProcess::new(Box::new(wl)), &mut policy, &config);
@@ -48,7 +48,7 @@ use bytes::Bytes;
 
 use aic_core::{CheckpointPolicy, Decision, DecisionCtx, IntervalRecord, PolicyEnv};
 use aic_delta::encode::EncodeParams;
-use aic_delta::pa::{pa_encode_cached, PaParams, SourceIndexCache};
+use aic_delta::pa::{pa_encode, PaParams};
 use aic_delta::stats::CostModel;
 use aic_delta::xor::xor_encode;
 use aic_memsim::{SimProcess, SimTime, Snapshot};
@@ -233,8 +233,6 @@ struct EngineObs {
     raw_bytes: Counter,
     delta_bytes: Counter,
     recoveries: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
     dirty_hist: Histogram,
     ds_hist: Histogram,
     net2: Gauge,
@@ -254,8 +252,6 @@ impl EngineObs {
             raw_bytes: m.counter("engine.raw_bytes"),
             delta_bytes: m.counter("engine.delta_bytes"),
             recoveries: m.counter("engine.recoveries"),
-            cache_hits: m.counter("engine.cache.hits"),
-            cache_misses: m.counter("engine.cache.misses"),
             dirty_hist: m.histogram("engine.dirty_pages_per_ckpt", &DIRTY_PAGE_BUCKETS),
             ds_hist: m.histogram("engine.ds_bytes_per_ckpt", &DS_BYTE_BUCKETS),
             net2: m.gauge("engine.net2"),
@@ -440,13 +436,9 @@ pub fn run_engine_with_faults(
     // metrics of its own). On one core the engine's own thread is that
     // core and encodes inline, which keeps the pages the process just
     // dirtied in this core's caches instead of handing them to a worker on
-    // another core. Either way one cross-interval source-index cache
-    // serves only on exact source equality and is invalidated wholesale at
-    // every recovery barrier because the timeline it indexed is gone.
+    // another core.
     let pool = (config.cores > 1 && matches!(config.compressor, Compressor::PaDelta(_)))
         .then(|| CompressorPool::spawn(config.cores, SOLO_QUANTUM, None));
-    let own_cache = SourceIndexCache::new();
-    let index_cache = pool.as_ref().map_or(&own_cache, |p| p.index_cache());
     // Write-behind network transport for the L3 drain. Its clock runs on
     // the workload axis *plus* the accumulated back-pressure stalls: a
     // stall advances wall time (and the drain keeps shipping bytes) while
@@ -553,12 +545,6 @@ pub fn run_engine_with_faults(
             // The recovered image becomes the previous-checkpoint mirror —
             // moved, not cloned; nothing else needs it.
             prev_state = img.snapshot;
-            // Rollback barrier: every cached source index described a page
-            // version of the abandoned timeline. Drop them all before the
-            // next encode can run (the per-entry equality check would
-            // reject them anyway — this is defense in depth and frees the
-            // memory).
-            index_cache.invalidate_all();
             last_cut = restored_at;
             core_free_at = restored_at;
             force_full = true;
@@ -572,11 +558,9 @@ pub fn run_engine_with_faults(
             let ctx = DecisionCtx {
                 now,
                 elapsed: now - last_cut,
-                interval_index: seq,
                 dirty_pages: process.space().dirty_page_count(),
                 space: process.space(),
                 prev_pages: &prev_state,
-                last_record: records.last(),
             };
             blocking_overhead += policy.decision_cost();
             want_ckpt = policy.decide(&ctx) == Decision::Checkpoint;
@@ -606,8 +590,6 @@ pub fn run_engine_with_faults(
                     vec![("seq", seq.into()), ("dirty_pages", dirty.len().into())],
                 );
             }
-            let (cache_h0, cache_m0) = (index_cache.hits(), index_cache.misses());
-
             // Chain compaction: every Nth checkpoint is a fresh full one,
             // as is the first checkpoint after a recovery (re-baseline).
             let compact = force_full
@@ -662,11 +644,9 @@ pub fn run_engine_with_faults(
                     // Page-wise sharding across the pool: bit-identical to
                     // the serial encode, and the charged `dl` is the
                     // pool-width latency — the predictor trains on what the
-                    // deployment actually costs, not a serial fiction. The
-                    // shared index cache persists across intervals and is
-                    // flushed at every recovery barrier above. Only the
-                    // dirty pages' previous versions are delta sources, so
-                    // a pool job carries just those.
+                    // deployment actually costs, not a serial fiction. Only
+                    // the dirty pages' previous versions are delta sources,
+                    // so a pool job carries just those.
                     let (file, report) = match &pool {
                         Some(pool) => {
                             let sources = Snapshot::from_pages(
@@ -676,7 +656,7 @@ pub fn run_engine_with_faults(
                             );
                             pool.encode(config.job, sources, dirty.clone(), *params)
                         }
-                        None => pa_encode_cached(&prev_state, &dirty, params, index_cache),
+                        None => pa_encode(&prev_state, &dirty, params),
                     };
                     let ds = file.wire_len();
                     let dl = config
@@ -785,8 +765,6 @@ pub fn run_engine_with_faults(
                 None => c1 + dl + ds_bytes as f64 * sf / config.b3,
             };
             if let Some(o) = &eng_obs {
-                let dh = index_cache.hits() - cache_h0;
-                let dm = index_cache.misses() - cache_m0;
                 o.checkpoints.inc();
                 if compact {
                     o.full_checkpoints.inc();
@@ -794,8 +772,6 @@ pub fn run_engine_with_faults(
                 o.dirty_pages.add(dirty.len() as u64);
                 o.raw_bytes.add(raw_bytes);
                 o.delta_bytes.add(ds_bytes);
-                o.cache_hits.add(dh);
-                o.cache_misses.add(dm);
                 o.dirty_hist.observe(dirty.len() as u64);
                 o.ds_hist.observe(ds_bytes);
                 let span = Span::enter(
@@ -804,14 +780,7 @@ pub fn run_engine_with_faults(
                     now,
                     vec![("seq", seq.into()), ("raw_bytes", raw_bytes.into())],
                 );
-                span.exit_with(
-                    now + dl,
-                    vec![
-                        ("ds_bytes", ds_bytes.into()),
-                        ("cache_hits", dh.into()),
-                        ("cache_misses", dm.into()),
-                    ],
-                );
+                span.exit_with(now + dl, vec![("ds_bytes", ds_bytes.into())]);
                 if let Some(r) = &commit_receipt {
                     // The commit span covers the L2/L3 drain on the
                     // checkpointing core: from the cut to `c3 - c1` later.

@@ -240,11 +240,9 @@ pub fn run_fleet(
             let ctx = DecisionCtx {
                 now,
                 elapsed: now - s.last_cut,
-                interval_index: s.seq,
                 dirty_pages: s.process.space().dirty_page_count(),
                 space: s.process.space(),
                 prev_pages: &s.prev_state,
-                last_record: s.records.last(),
             };
             s.blocking += policies[i].decision_cost();
             let mut want = policies[i].decide(&ctx) == Decision::Checkpoint;

@@ -457,11 +457,6 @@ impl StorageHierarchy {
         }
     }
 
-    /// Is dedup active?
-    pub fn dedup_enabled(&self) -> bool {
-        self.dedup.is_some()
-    }
-
     /// Cumulative dedup statistics per dedup-backed level, `[L2, L3]`.
     /// `None` while dedup is off.
     pub fn dedup_stats(&self) -> Option<[DedupStats; 2]> {

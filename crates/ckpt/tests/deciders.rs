@@ -40,7 +40,7 @@ mod policy {
     #[test]
     fn aic_bootstraps_then_adapts() {
         let config = EngineConfig::testbed(rates());
-        let mut policy = AicPolicy::new(AicConfig::testbed(rates()), &config.policy_env());
+        let mut policy = AicPolicy::new(AicConfig::testbed(), &config.policy_env());
         let report = run_engine(phased_process(1, 180.0), &mut policy, &config);
         assert!(policy.predictor().ready(), "predictor never bootstrapped");
         assert!(
@@ -54,7 +54,7 @@ mod policy {
     fn aic_overhead_is_small() {
         // Table 3: AIC lengthens failure-free execution by ≤ 2.6%.
         let config = EngineConfig::testbed(rates());
-        let mut policy = AicPolicy::new(AicConfig::testbed(rates()), &config.policy_env());
+        let mut policy = AicPolicy::new(AicConfig::testbed(), &config.policy_env());
         let report = run_engine(phased_process(2, 120.0), &mut policy, &config);
         assert!(
             report.overhead_frac() < 0.05,
@@ -75,7 +75,7 @@ mod policy {
         let mut sic = FixedIntervalPolicy::new(w_star.clamp(5.0, 60.0));
         let sic_report = run_engine(phased_process(3, 180.0), &mut sic, &config);
 
-        let mut aic = AicPolicy::new(AicConfig::testbed(rates()), &config.policy_env());
+        let mut aic = AicPolicy::new(AicConfig::testbed(), &config.policy_env());
         let aic_report = run_engine(phased_process(3, 180.0), &mut aic, &config);
 
         // AIC must not be substantially worse; on phased workloads it
@@ -92,7 +92,7 @@ mod policy {
     fn attached_obs_traces_predicted_vs_realized_intervals() {
         let mut config = EngineConfig::testbed(rates());
         config.obs = Some(Arc::new(Obs::new()));
-        let mut policy = AicPolicy::new(AicConfig::testbed(rates()), &config.policy_env());
+        let mut policy = AicPolicy::new(AicConfig::testbed(), &config.policy_env());
         let _ = run_engine(phased_process(5, 180.0), &mut policy, &config);
         assert!(policy.predictor().ready());
 
@@ -130,9 +130,35 @@ mod policy {
     }
 
     #[test]
+    fn aic_plans_with_the_env_failure_rates() {
+        // One engine, two AIC envs that differ only in their failure rates:
+        // at ten times the rate the model's w* shrinks, so AIC cuts more
+        // often and the schedules differ.
+        let config = EngineConfig::testbed(rates());
+        let cut_spans = |total: f64| {
+            let mut env = config.policy_env();
+            env.rates = FailureRates::three(2e-7, 1.8e-6, 4e-7).with_total(total);
+            let mut policy = AicPolicy::new(AicConfig::testbed(), &env);
+            let report = run_engine(phased_process(6, 240.0), &mut policy, &config);
+            let spans: Vec<f64> = report.intervals.iter().map(|r| r.w).collect();
+            (spans, policy.adaptive_cuts())
+        };
+        let (calm, calm_adaptive) = cut_spans(1e-3);
+        let (stormy, stormy_adaptive) = cut_spans(1e-2);
+        assert!(calm_adaptive >= 1 && stormy_adaptive >= 1);
+        assert_ne!(calm, stormy, "the env's rates did not reach the decision");
+        assert!(
+            stormy.len() > calm.len(),
+            "λ=1e-2 cut {} intervals, λ=1e-3 cut {}",
+            stormy.len(),
+            calm.len()
+        );
+    }
+
+    #[test]
     fn decision_cost_reflects_sampling() {
         let config = EngineConfig::testbed(rates());
-        let mut policy = AicPolicy::new(AicConfig::testbed(rates()), &config.policy_env());
+        let mut policy = AicPolicy::new(AicConfig::testbed(), &config.policy_env());
         assert_eq!(policy.decision_cost(), 0.0);
         let _ = run_engine(phased_process(4, 60.0), &mut policy, &config);
         // After a run the last tick carried some cost.

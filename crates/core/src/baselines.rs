@@ -304,11 +304,9 @@ mod tests {
         let ctx_at = |elapsed| DecisionCtx {
             now: 10.0,
             elapsed,
-            interval_index: 0,
             dirty_pages: 5,
             space: &space,
             prev_pages: &prev,
-            last_record: None,
         };
         assert_eq!(p.decide(&ctx_at(1.0)), Decision::Continue);
         assert_eq!(p.decide(&ctx_at(3.0)), Decision::Checkpoint);

@@ -16,8 +16,8 @@ use aic_obs::Obs;
 /// and `ServiceConfig` each build one with `policy_env()`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyEnv {
-    /// Failure rates the static solves and the ablation deciders score
-    /// with (AIC takes its own from `AicConfig::rates`).
+    /// Failure rates AIC, the static solves and the ablation deciders
+    /// plan with.
     pub rates: FailureRates,
     /// Per-node L2 bandwidth, bytes/s.
     pub b2: f64,
@@ -96,16 +96,12 @@ pub struct DecisionCtx<'a> {
     pub now: f64,
     /// Virtual work since the last checkpoint cut.
     pub elapsed: f64,
-    /// Index of the interval being accumulated.
-    pub interval_index: u64,
     /// Dirty pages so far this interval.
     pub dirty_pages: usize,
     /// The live address space (for content metrics).
     pub space: &'a AddressSpace,
     /// The previous checkpoint's page contents.
     pub prev_pages: &'a Snapshot,
-    /// The most recent completed interval, if any.
-    pub last_record: Option<&'a IntervalRecord>,
 }
 
 /// A policy's verdict at a decision tick.

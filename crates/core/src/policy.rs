@@ -19,7 +19,6 @@
 use std::sync::Arc;
 
 use aic_model::nonstatic::steady_state_wstar;
-use aic_model::FailureRates;
 use aic_obs::{Counter, Gauge, Obs};
 
 use crate::decider::{CheckpointPolicy, Decision, DecisionCtx, IntervalRecord, PolicyEnv};
@@ -54,8 +53,6 @@ impl PolicyObs {
 /// AIC tuning knobs.
 #[derive(Debug, Clone)]
 pub struct AicConfig {
-    /// Failure rates used in the decision model.
-    pub rates: FailureRates,
     /// Fixed cadence (seconds) used while gathering bootstrap samples.
     pub bootstrap_interval: f64,
     /// Sample-buffer capacity (group representatives).
@@ -79,11 +76,10 @@ pub struct AicConfig {
 impl AicConfig {
     /// Testbed defaults matching the paper's evaluation (Section V.C):
     /// 8-MB sample buffer (2048 page samples), 1-second decisions (the
-    /// engine's tick), bootstrap cadence 15 s. The bandwidths come from the
-    /// [`PolicyEnv`] ([`AicPolicy::new`]).
-    pub fn testbed(rates: FailureRates) -> Self {
+    /// engine's tick), bootstrap cadence 15 s. The failure rates and the
+    /// bandwidths come from the [`PolicyEnv`] ([`AicPolicy::new`]).
+    pub fn testbed() -> Self {
         AicConfig {
-            rates,
             bootstrap_interval: 15.0,
             sb_capacity: 2048,
             tg0: 0.05,
@@ -102,7 +98,8 @@ pub struct AicPolicy {
     /// The tuning knobs this policy runs with. Set them before
     /// [`AicPolicy::new`]: the sample buffer is built from them there.
     pub cfg: AicConfig,
-    /// The deployment; the decision model reads its L2/L3 bandwidths.
+    /// The deployment; the decision model reads its failure rates and its
+    /// L2/L3 bandwidths.
     env: PolicyEnv,
     predictor: AicPredictor,
     sb: SampleBuffer,
@@ -233,7 +230,7 @@ impl CheckpointPolicy for AicPolicy {
         // `IntervalParams::from_measurement_with_cores` for planning from
         // single-core measurements).
         let cur = self.env.params(pred.c1, pred.dl, pred.ds);
-        let wstar = steady_state_wstar(&cur, &self.cfg.rates, ctx.elapsed, &mut self.last_wstar);
+        let wstar = steady_state_wstar(&cur, &self.env.rates, ctx.elapsed, &mut self.last_wstar);
         self.last_prediction = Some((pred.c1, pred.dl, pred.ds));
         if let Some(o) = &self.obs {
             o.predictions.inc();

@@ -124,13 +124,6 @@ impl SampleBuffer {
         compute_pair(self.similarity, self.variation, current, previous)
     }
 
-    /// The paper's configuration: an 8-MB buffer of page *contents* holds
-    /// 2048 pages; we store metrics rather than bytes but keep the same
-    /// sample budget.
-    pub fn paper_default() -> Self {
-        SampleBuffer::new(2048, 0.05)
-    }
-
     /// Current grouping threshold `T_g`.
     pub fn tg(&self) -> f64 {
         self.tg

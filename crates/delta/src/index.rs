@@ -20,12 +20,10 @@
 //!   power-of-two capacity) mapping a weak hash to its group's range in
 //!   `entries`.
 //!
-//! An index depends only on the source bytes and the block size, so it can
-//! be built once per source version and reused across every encode against
-//! that source — the cross-interval cache in [`crate::pa`] does exactly
-//! that. [`SourceIndex::rebuild`] reuses the internal buffers, so uncached
-//! callers that recycle one `SourceIndex` across pages allocate nothing in
-//! steady state.
+//! An index depends only on the source bytes and the block size.
+//! [`SourceIndex::rebuild`] reuses the internal buffers, so the page-aligned
+//! encoder in [`crate::pa`], which recycles one `SourceIndex` across pages,
+//! allocates nothing in steady state.
 
 use crate::rolling::RollingHash;
 use crate::strong::block_filter;
@@ -201,14 +199,6 @@ impl SourceIndex {
     #[inline]
     pub fn strong(&self, block: u32) -> u64 {
         self.strongs[block as usize]
-    }
-
-    /// Approximate heap footprint in bytes (cache accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.strongs.capacity() * 8
-            + self.entries.capacity() * 4
-            + self.slots.capacity() * std::mem::size_of::<Slot>()
-            + self.pairs.capacity() * 8
     }
 }
 

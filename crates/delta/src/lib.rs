@@ -58,5 +58,5 @@ pub mod xor;
 pub use decode::{decode, DecodeError};
 pub use encode::{encode, encode_into, Delta, EncodeParams};
 pub use index::SourceIndex;
-pub use pa::{pa_decode, pa_encode, PaDeltaFile, PaParams, SourceIndexCache};
+pub use pa::{pa_decode, pa_encode, PaDeltaFile, PaParams};
 pub use stats::{CostModel, EncodeReport};

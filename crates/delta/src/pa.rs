@@ -14,10 +14,7 @@
 //! [`pa_encode`] output. This crate spawns no threads; the compressor pool
 //! that runs shards in parallel lives in `aic_ckpt::concurrent`.
 
-use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -54,232 +51,6 @@ impl PaParams {
             block_size: self.block_size,
             max_probe: self.max_probe,
         }
-    }
-}
-
-/// One cached per-page index: the exact source page version it was built
-/// from, plus the prebuilt [`SourceIndex`] over that version's blocks.
-///
-/// Holding a [`Page`] clone pins the CoW buffer the index describes, so the
-/// address can never be recycled while the entry lives — pointer equality
-/// against it is an ABA-safe version check.
-#[derive(Debug)]
-pub struct CachedIndex {
-    source: Page,
-    index: SourceIndex,
-}
-
-impl CachedIndex {
-    /// The prebuilt block index.
-    pub fn index(&self) -> &SourceIndex {
-        &self.index
-    }
-}
-
-/// Cross-interval cache of per-page source indexes, shared by every worker
-/// of a compressor pool.
-///
-/// The source of a page's delta is that page's previous checkpointed
-/// version; whenever that version is unchanged since the last encode
-/// (checkpoint of a page whose content was rewritten identically, repeated
-/// encodes during recovery replay, benchmark steady state), the index
-/// built for it is still valid and the per-page indexing pass can be
-/// skipped entirely.
-///
-/// **Hit rule (exact, never probabilistic):** an entry is used only if the
-/// cached source page equals the requested source — pointer equality on the
-/// CoW buffer (O(1), the common hit) or a full byte compare (catches
-/// rewritten-identical buffers). A hash shortcut would risk a collision
-/// silently changing encoder output; equality cannot. Consequently a cache
-/// hit is *guaranteed* to leave the wire bytes bit-identical.
-///
-/// **Invalidation (sharded-cache rule):** entries self-invalidate on source
-/// change (the equality check fails and the entry is rebuilt in place).
-/// [`SourceIndexCache::invalidate_all`] exists for state discontinuities —
-/// restore/recovery rolls `prev` back to an older version wholesale, so the
-/// engine drops the cache rather than trusting per-entry checks it no
-/// longer needs (defense in depth, and it returns the memory). Because the
-/// map is sharded, `invalidate_all` takes the shard locks one at a time and
-/// is therefore **not atomic across shards**: it must only run at a
-/// pipeline barrier with no encode jobs in flight (which is the only place
-/// the engine calls it). A racing encode would not be *wrong* — the
-/// per-entry exact-equality hit rule rejects stale entries on its own — it
-/// would merely re-cache entries the barrier meant to drop.
-///
-/// **Contention:** the map is split into [`CACHE_SHARDS`] independently
-/// locked shards keyed by a mix of the page index, so concurrent workers
-/// encoding different pages land on different locks. Size and hit/miss
-/// accounting live in atomics *outside* the shard locks, so
-/// [`SourceIndexCache::len`], [`SourceIndexCache::heap_bytes`] and the
-/// stats accessors never touch a lock — obs polling cannot stall encoders.
-#[derive(Debug)]
-pub struct SourceIndexCache {
-    shards: [Mutex<HashMap<PageIdx, Arc<CachedIndex>>>; CACHE_SHARDS],
-    len: AtomicUsize,
-    heap: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Number of independently locked map shards in a [`SourceIndexCache`].
-/// A small power of two: enough to spread an 8-worker pool across distinct
-/// locks, small enough that `invalidate_all` stays cheap.
-pub const CACHE_SHARDS: usize = 16;
-
-impl Default for SourceIndexCache {
-    fn default() -> Self {
-        SourceIndexCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            len: AtomicUsize::new(0),
-            heap: AtomicUsize::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-impl SourceIndexCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        SourceIndexCache::default()
-    }
-
-    /// The shard holding page `idx` (Fibonacci-mixed so that the contiguous
-    /// page runs a shard plan produces spread across locks).
-    fn shard(&self, idx: PageIdx) -> &Mutex<HashMap<PageIdx, Arc<CachedIndex>>> {
-        let mixed = idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(mixed >> (64 - CACHE_SHARDS.trailing_zeros() as u64)) as usize]
-    }
-
-    /// Heap accounting charge for one entry.
-    fn entry_heap(entry: &CachedIndex) -> usize {
-        entry.index.heap_bytes() + PAGE_SIZE
-    }
-
-    /// Probe for a valid entry *without building on miss* — the hit half of
-    /// [`SourceIndexCache::get_or_build`]. Returns `None` (counting
-    /// nothing) when no valid entry exists, so callers that may bail out of
-    /// encoding entirely (the match-rate probe) can defer the expensive
-    /// index build until they know they need it.
-    pub fn lookup(
-        &self,
-        idx: PageIdx,
-        source: &Page,
-        block_size: usize,
-    ) -> Option<Arc<CachedIndex>> {
-        let bs = block_size.max(4);
-        let entries = self.shard(idx).lock().unwrap();
-        if let Some(entry) = entries.get(&idx) {
-            if entry.index.block_size() == bs
-                && (entry.source.ptr_eq(source) || entry.source == *source)
-            {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(Arc::clone(entry));
-            }
-        }
-        None
-    }
-
-    /// Build the index for `(idx, source)` and insert it, counting a miss.
-    /// The build runs outside any lock — indexing is the expensive part,
-    /// and a racing duplicate build is harmless (last insert wins). Callers
-    /// that already weak-hashed every source block (the match-rate probe)
-    /// pass those hashes as `weaks` so the build skips that pass.
-    pub fn insert_built(
-        &self,
-        idx: PageIdx,
-        source: &Page,
-        block_size: usize,
-        weaks: Option<&[u32]>,
-    ) -> Arc<CachedIndex> {
-        let bs = block_size.max(4);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut index = SourceIndex::new();
-        match weaks {
-            Some(w) => index.rebuild_with_weaks(source.as_slice(), bs, w),
-            None => index.rebuild(source.as_slice(), bs),
-        }
-        let entry = Arc::new(CachedIndex {
-            source: source.clone(),
-            index,
-        });
-        let heap = Self::entry_heap(&entry);
-        let old = self
-            .shard(idx)
-            .lock()
-            .unwrap()
-            .insert(idx, Arc::clone(&entry));
-        self.heap.fetch_add(heap, Ordering::Relaxed);
-        match old {
-            Some(old) => {
-                self.heap
-                    .fetch_sub(Self::entry_heap(&old), Ordering::Relaxed);
-            }
-            None => {
-                self.len.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        entry
-    }
-
-    /// Fetch the index for page `idx` with source version `source`,
-    /// building (and caching) it on miss. See the type docs for the exact
-    /// hit rule; the returned entry is shared, lock-free to use, and valid
-    /// for as long as the caller holds it even if the cache moves on.
-    pub fn get_or_build(&self, idx: PageIdx, source: &Page, block_size: usize) -> Arc<CachedIndex> {
-        self.lookup(idx, source, block_size)
-            .unwrap_or_else(|| self.insert_built(idx, source, block_size, None))
-    }
-
-    /// Drop every cached index. Called on restore/recovery: the engine's
-    /// `prev` state jumps to an older version, so nothing cached about the
-    /// abandoned timeline may survive. Not atomic across shards — see the
-    /// invalidation rule in the type docs (barrier-only).
-    pub fn invalidate_all(&self) {
-        for shard in &self.shards {
-            let mut entries = shard.lock().unwrap();
-            for (_, entry) in entries.drain() {
-                self.heap
-                    .fetch_sub(Self::entry_heap(&entry), Ordering::Relaxed);
-                self.len.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Drop the entry for a single page (e.g. when the page is freed).
-    pub fn invalidate(&self, idx: PageIdx) {
-        if let Some(entry) = self.shard(idx).lock().unwrap().remove(&idx) {
-            self.heap
-                .fetch_sub(Self::entry_heap(&entry), Ordering::Relaxed);
-            self.len.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of cached page indexes. Lock-free (maintained atomically at
-    /// insert/remove), so pollers never contend with encoders.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// True if nothing is cached. Lock-free.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime hit count (index reused). Lock-free.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime miss count (index built). Lock-free.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Approximate heap footprint of the cached indexes in bytes.
-    /// Lock-free (maintained atomically at insert/remove).
-    pub fn heap_bytes(&self) -> usize {
-        self.heap.load(Ordering::Relaxed)
     }
 }
 
@@ -349,24 +120,15 @@ impl PaDeltaFile {
 /// beat the raw page is discarded in favour of the raw bytes, so
 /// `ds ≤ incremental checkpoint size + per-page overhead` always holds.
 ///
-/// Every PA path — this serial encode, [`pa_encode_cached`] and the
-/// sharded encode of a compressor pool — runs the same per-page decisions
-/// through the one shard encoder ([`pa_encode_shard_scratch`]), which is
-/// what makes their outputs bit-identical by construction.
+/// This serial encode and the sharded encode of a compressor pool run the
+/// same per-page decisions through the one shard encoder
+/// ([`pa_encode_shard_scratch`]) — here all of `dirty` as one shard, with
+/// throwaway scratch — which is what makes their outputs bit-identical by
+/// construction.
 pub fn pa_encode(
     prev: &Snapshot,
     dirty: &Snapshot,
     params: &PaParams,
-) -> (PaDeltaFile, EncodeReport) {
-    encode_whole(prev, dirty, params, None)
-}
-
-/// The serial encode: all of `dirty` as one shard, with throwaway scratch.
-fn encode_whole(
-    prev: &Snapshot,
-    dirty: &Snapshot,
-    params: &PaParams,
-    cache: Option<&SourceIndexCache>,
 ) -> (PaDeltaFile, EncodeReport) {
     let shard = Shard {
         start: 0,
@@ -378,7 +140,6 @@ fn encode_whole(
         dirty,
         shard,
         params,
-        cache,
         &mut scratch,
     )))
 }
@@ -398,11 +159,9 @@ pub const PROBE_WINDOWS: usize = 128;
 /// *any* sampled window's weak hash occurs in the source's block set,
 /// short-circuiting on the first hit.
 ///
-/// `contains` must answer exact weak-set membership over the source —
-/// either `WeakSet::contains` or `!SourceIndex::candidates(w).is_empty()`,
-/// which are equivalent by construction — so the verdict is a deterministic
-/// function of `(source, target, block_size)` alone, independent of cache
-/// state or shard boundaries. That is what keeps every PA path's bail
+/// `weaks` is the exact weak-hash set of the source's blocks, so the verdict
+/// is a deterministic function of `(source, target, block_size)` alone,
+/// independent of shard boundaries. That is what keeps every PA path's bail
 /// decision, and therefore their output bytes, identical.
 ///
 /// A `false` verdict means a full scan would almost certainly end in the
@@ -418,7 +177,7 @@ pub const PROBE_WINDOWS: usize = 128;
 /// short-circuit earlier when only one segment lands in surviving content
 /// (a partially rewritten page hits within one alignment cycle ≈ `bs`
 /// rounds instead of after a full segment's [`PROBE_WINDOWS`] misses).
-fn probe_finds_match(target: &[u8], bs: usize, contains: impl Fn(u32) -> bool) -> bool {
+fn probe_finds_match(target: &[u8], bs: usize, weaks: &WeakSet) -> bool {
     if target.len() < bs {
         return false;
     }
@@ -434,7 +193,7 @@ fn probe_finds_match(target: &[u8], bs: usize, contains: impl Fn(u32) -> bool) -
     });
     // Round 0: every segment's initial window.
     for roll in &rolls {
-        if contains(roll.digest()) {
+        if weaks.contains(roll.digest()) {
             return true;
         }
     }
@@ -447,7 +206,7 @@ fn probe_finds_match(target: &[u8], bs: usize, contains: impl Fn(u32) -> bool) -
                 rolls[s].roll(target[p], target[p + bs]);
                 pos[s] = p + 1;
                 advanced = true;
-                if contains(rolls[s].digest()) {
+                if weaks.contains(rolls[s].digest()) {
                     return true;
                 }
             }
@@ -558,8 +317,8 @@ struct PendingRec {
     delta_checksum: Option<u64>,
 }
 
-/// Reusable per-worker scratch for the shard encoder: the uncached source
-/// index and the weak-hash set consulted by the match-rate probe. Pool
+/// Reusable per-worker scratch for the shard encoder: the source index and
+/// the weak-hash set consulted by the match-rate probe. Pool
 /// workers hold one per thread and reuse it across every shard of every
 /// job, so steady-state encoding allocates nothing per page and the
 /// buffers' high-water capacity is paid once per worker, not per shard.
@@ -588,11 +347,11 @@ impl ShardScratch {
 /// emitted into **one** `BytesMut` arena, frozen once per shard; each
 /// record's `Bytes` is a zero-copy slice of that arena. (The arena itself
 /// cannot be recycled across shards: the delivered records keep zero-copy
-/// slices of it alive, so its memory *is* the output.) Source indexes come
-/// from `cache` when provided (hitting across intervals whenever the source
-/// version is unchanged) or from the scratch index reused across pages,
-/// shards and jobs. Steady state allocates nothing per page: no per-call
-/// hash map, no `Vec<Inst>`, no literal double-copy.
+/// slices of it alive, so its memory *is* the output.) Every hot page's
+/// source index is rebuilt in place in the scratch index, reused across
+/// pages, shards and jobs: a page's source is its previous checkpointed
+/// version, which no earlier encode indexed. Steady state allocates nothing
+/// per page: no per-call hash map, no `Vec<Inst>`, no literal double-copy.
 ///
 /// Before paying for an index build or a full rolling scan, every hot page
 /// runs the match-rate probe (see [`PROBE_WINDOWS`]): if none of the
@@ -600,8 +359,8 @@ impl ShardScratch {
 /// is stored raw immediately — same record and report as the raw fallback
 /// below, but without the index-build + scan cost that made cold encodes of
 /// incompressible pages slower than the reference encoder. The verdict
-/// depends only on `(source, target, block_size)`, so cached and uncached
-/// paths always agree.
+/// depends only on `(source, target, block_size)`, so every shard plan
+/// agrees.
 ///
 /// A delta that fails to beat the raw page is *rewound* — the arena is
 /// truncated back to the record start and the raw bytes are appended
@@ -611,7 +370,6 @@ pub fn pa_encode_shard_scratch(
     dirty: &Snapshot,
     shard: Shard,
     params: &PaParams,
-    cache: Option<&SourceIndexCache>,
     scratch: &mut ShardScratch,
 ) -> (Vec<PageRecord>, EncodeReport) {
     let ep = params.encode_params();
@@ -640,22 +398,10 @@ pub fn pa_encode_shard_scratch(
             continue;
         };
 
-        // Hold the cache entry (if any) only as long as the encode.
-        let entry = cache.and_then(|c| c.lookup(idx, old, bs));
-        let feasible = match &entry {
-            // A prebuilt index answers the probe directly.
-            Some(e) => {
-                probe_finds_match(page.as_slice(), bs, |w| !e.index().candidates(w).is_empty())
-            }
-            // No index yet: the weak set costs a fraction of a full build
-            // (no strong hashes, no table) and answers identically.
-            None => {
-                scratch.weaks.rebuild(old.as_slice(), bs);
-                let weaks = &scratch.weaks;
-                probe_finds_match(page.as_slice(), bs, |w| weaks.contains(w))
-            }
-        };
-        if !feasible {
+        // The weak set costs a fraction of a full index build (no strong
+        // hashes, no table), so the probe runs before the build.
+        scratch.weaks.rebuild(old.as_slice(), bs);
+        if !probe_finds_match(page.as_slice(), bs, &scratch.weaks) {
             // Bail: store raw without building an index or scanning. Same
             // record and report as the raw fallback below, so the only
             // observable difference is the time saved.
@@ -677,35 +423,19 @@ pub fn pa_encode_shard_scratch(
             continue;
         }
 
-        // On a cache miss or the uncached path, the probe above just
-        // weak-hashed every source block — hand those hashes to the index
-        // build so it only pays the strong-hash and table passes.
-        let (range, checksum, mut report) = match cache {
-            Some(c) => {
-                let entry = entry.unwrap_or_else(|| {
-                    c.insert_built(idx, old, bs, Some(scratch.weaks.block_weaks()))
-                });
-                encode_into(
-                    old.as_slice(),
-                    page.as_slice(),
-                    entry.index(),
-                    &ep,
-                    &mut arena,
-                )
-            }
-            None => {
-                scratch
-                    .index
-                    .rebuild_with_weaks(old.as_slice(), bs, scratch.weaks.block_weaks());
-                encode_into(
-                    old.as_slice(),
-                    page.as_slice(),
-                    &scratch.index,
-                    &ep,
-                    &mut arena,
-                )
-            }
-        };
+        // The probe above just weak-hashed every source block — hand those
+        // hashes to the index build so it only pays the strong-hash and
+        // table passes.
+        scratch
+            .index
+            .rebuild_with_weaks(old.as_slice(), bs, scratch.weaks.block_weaks());
+        let (range, checksum, mut report) = encode_into(
+            old.as_slice(),
+            page.as_slice(),
+            &scratch.index,
+            &ep,
+            &mut arena,
+        );
         if report.delta_bytes < PAGE_SIZE as u64 {
             pending.push(PendingRec {
                 idx,
@@ -754,16 +484,41 @@ pub fn pa_encode_shard_scratch(
     (records, total)
 }
 
-/// Serial page-aligned encode through the cache: identical output to
-/// [`pa_encode`], but source indexes are fetched from (and stored into)
-/// `cache` and payloads share one arena.
+/// Stand-in for the source-index cache this crate used to keep, so that
+/// the frozen fleet benchmark (`fleetbench`), which still imports it with
+/// [`pa_encode_cached`], builds unchanged. It caches nothing: a page's
+/// source is its previous checkpointed version, which no earlier encode
+/// indexed, so the cache almost never hit. Delete it, and
+/// [`pa_encode_cached`], when the benchmark next changes.
+#[derive(Debug, Default)]
+pub struct SourceIndexCache;
+
+impl SourceIndexCache {
+    /// The stand-in (it holds nothing).
+    pub fn new() -> Self {
+        SourceIndexCache
+    }
+
+    /// Always 0: there is no cache to hit.
+    pub fn hits(&self) -> u64 {
+        0
+    }
+
+    /// Always 0: there is no cache to look up.
+    pub fn misses(&self) -> u64 {
+        0
+    }
+}
+
+/// [`pa_encode`], under the name the frozen fleet benchmark imports; the
+/// [`SourceIndexCache`] is ignored. Delete it with that type.
 pub fn pa_encode_cached(
     prev: &Snapshot,
     dirty: &Snapshot,
     params: &PaParams,
-    cache: &SourceIndexCache,
+    _cache: &SourceIndexCache,
 ) -> (PaDeltaFile, EncodeReport) {
-    encode_whole(prev, dirty, params, Some(cache))
+    pa_encode(prev, dirty, params)
 }
 
 /// Reassemble shard outputs — supplied in shard order — into the final
@@ -857,19 +612,12 @@ mod tests {
     /// `workers`, every shard through `pa_encode_shard_scratch` — last
     /// shard first, as out-of-order workers may finish — and `pa_assemble`
     /// in shard order.
-    fn sharded(
-        prev: &Snapshot,
-        dirty: &Snapshot,
-        workers: usize,
-        cache: Option<&SourceIndexCache>,
-    ) -> (PaDeltaFile, EncodeReport) {
+    fn sharded(prev: &Snapshot, dirty: &Snapshot, workers: usize) -> (PaDeltaFile, EncodeReport) {
         let mut scratch = ShardScratch::new();
         let mut parts: Vec<_> = plan_shards(dirty.len(), workers)
             .into_iter()
             .rev()
-            .map(|s| {
-                pa_encode_shard_scratch(prev, dirty, s, &PaParams::default(), cache, &mut scratch)
-            })
+            .map(|s| pa_encode_shard_scratch(prev, dirty, s, &PaParams::default(), &mut scratch))
             .collect();
         parts.reverse();
         pa_assemble(parts)
@@ -1004,7 +752,7 @@ mod tests {
                 workers > 1,
                 "workers={workers}"
             );
-            let (file, report) = sharded(&prev, &dirty, workers, None);
+            let (file, report) = sharded(&prev, &dirty, workers);
             assert_eq!(serial, file, "workers={workers}");
             assert_eq!(serial_report, report, "workers={workers}");
             assert_eq!(pa_decode(&prev, &file).unwrap(), dirty);
@@ -1056,161 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_encode_is_bit_identical_and_hits_on_unchanged_source() {
-        let mut rng = StdRng::seed_from_u64(60);
-        let pages: Vec<Page> = (0..12).map(|_| random_page(&mut rng)).collect();
-        let prev = Snapshot::from_pages(
-            pages
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, p)| (i as u64, p)),
-        );
-        let mut dirty = Snapshot::new();
-        for (i, page) in pages.iter().enumerate() {
-            dirty.insert(i as u64, mutated(page, 0, 64 + i * 13, &mut rng));
-        }
-        dirty.insert(50, random_page(&mut rng)); // new page: no index needed
-
-        let cache = SourceIndexCache::new();
-        let (serial, serial_report) = pa_encode(&prev, &dirty, &PaParams::default());
-        let (cached, cached_report) = pa_encode_cached(&prev, &dirty, &PaParams::default(), &cache);
-        assert_eq!(serial, cached);
-        assert_eq!(serial_report, cached_report);
-        assert_eq!(cache.misses(), 12, "one build per hot page");
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.len(), 12);
-
-        // Same prev, same dirty: every hot page hits, output unchanged.
-        let (again, again_report) = pa_encode_cached(&prev, &dirty, &PaParams::default(), &cache);
-        assert_eq!(serial, again);
-        assert_eq!(serial_report, again_report);
-        assert_eq!(cache.hits(), 12);
-        assert_eq!(cache.misses(), 12);
-    }
-
-    #[test]
-    fn cache_rebuilds_when_source_version_changes() {
-        let mut rng = StdRng::seed_from_u64(61);
-        let p_v1 = random_page(&mut rng);
-        let p_v2 = mutated(&p_v1, 100, 200, &mut rng);
-        let target = mutated(&p_v2, 3000, 3100, &mut rng);
-
-        let cache = SourceIndexCache::new();
-        let prev1 = Snapshot::from_pages([(0, p_v1.clone())]);
-        let dirty = Snapshot::from_pages([(0, target.clone())]);
-        let (f1, _) = pa_encode_cached(&prev1, &dirty, &PaParams::default(), &cache);
-        assert_eq!(cache.misses(), 1);
-
-        // Source rolled forward: stale entry must not be consulted.
-        let prev2 = Snapshot::from_pages([(0, p_v2.clone())]);
-        let (f2, _) = pa_encode_cached(&prev2, &dirty, &PaParams::default(), &cache);
-        assert_eq!(cache.misses(), 2, "version change forces a rebuild");
-        let (expect2, _) = pa_encode(&prev2, &dirty, &PaParams::default());
-        assert_eq!(f2, expect2);
-        assert_eq!(pa_decode(&prev2, &f2).unwrap(), dirty);
-        // And the two encodes genuinely differ (different sources).
-        assert_ne!(f1, f2);
-
-        // A rewritten-identical source (new buffer, same bytes) still hits.
-        let prev2_copy = Snapshot::from_pages([(0, Page::from_bytes(p_v2.as_slice()))]);
-        let hits_before = cache.hits();
-        let (f3, _) = pa_encode_cached(&prev2_copy, &dirty, &PaParams::default(), &cache);
-        assert_eq!(cache.hits(), hits_before + 1, "content-equal source hits");
-        assert_eq!(f3, expect2);
-    }
-
-    #[test]
-    fn stale_index_never_consulted_after_rollback() {
-        // Simulates the engine's recovery barrier: the previous-state
-        // mirror rolls FORWARD to v2 (cache warms against v2), then a
-        // recovery rolls it BACK to v1. A stale v2 index must never serve
-        // the post-rollback encode — with invalidation (the engine's
-        // behaviour) and even without it (the equality check is the
-        // backstop).
-        let mut rng = StdRng::seed_from_u64(65);
-        let v1 = random_page(&mut rng);
-        let v2 = mutated(&v1, 0, 2048, &mut rng);
-        let dirty = Snapshot::from_pages([(0, mutated(&v1, 3000, 3200, &mut rng))]);
-        let prev_v2 = Snapshot::from_pages([(0, v2)]);
-        let prev_v1 = Snapshot::from_pages([(0, v1)]); // rollback target
-        let (oracle, oracle_report) = pa_encode(&prev_v1, &dirty, &PaParams::default());
-
-        // Path 1: engine behaviour — invalidate at the rollback barrier.
-        let cache = SourceIndexCache::new();
-        let _ = pa_encode_cached(&prev_v2, &dirty, &PaParams::default(), &cache);
-        assert_eq!(cache.len(), 1, "warm v2 entry");
-        cache.invalidate_all();
-        let (file, report) = pa_encode_cached(&prev_v1, &dirty, &PaParams::default(), &cache);
-        assert_eq!(file, oracle);
-        assert_eq!(report, oracle_report);
-        assert_eq!(cache.hits(), 0, "nothing stale was ever served");
-
-        // Path 2: defense in depth — even WITHOUT invalidation, the v2
-        // entry fails the exact source-equality check and is rebuilt.
-        let cache = SourceIndexCache::new();
-        let _ = pa_encode_cached(&prev_v2, &dirty, &PaParams::default(), &cache);
-        let (file, report) = pa_encode_cached(&prev_v1, &dirty, &PaParams::default(), &cache);
-        assert_eq!(file, oracle);
-        assert_eq!(report, oracle_report);
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 2, "stale entry rejected, index rebuilt");
-    }
-
-    #[test]
-    fn invalidate_all_clears_and_forces_rebuild() {
-        let mut rng = StdRng::seed_from_u64(62);
-        let p = random_page(&mut rng);
-        let prev = Snapshot::from_pages([(0, p.clone())]);
-        let dirty = Snapshot::from_pages([(0, mutated(&p, 0, 50, &mut rng))]);
-
-        let cache = SourceIndexCache::new();
-        let _ = pa_encode_cached(&prev, &dirty, &PaParams::default(), &cache);
-        assert_eq!(cache.len(), 1);
-        cache.invalidate_all();
-        assert!(cache.is_empty());
-        let (file, _) = pa_encode_cached(&prev, &dirty, &PaParams::default(), &cache);
-        assert_eq!(cache.misses(), 2, "post-invalidation encode rebuilds");
-        let (expect, _) = pa_encode(&prev, &dirty, &PaParams::default());
-        assert_eq!(file, expect);
-    }
-
-    #[test]
-    fn cached_sharded_encode_matches_serial_across_widths() {
-        let mut rng = StdRng::seed_from_u64(63);
-        let pages: Vec<Page> = (0..40).map(|_| random_page(&mut rng)).collect();
-        let prev = Snapshot::from_pages(
-            pages
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, p)| (i as u64, p)),
-        );
-        let mut dirty = Snapshot::new();
-        for (i, page) in pages.iter().enumerate() {
-            // Mix of small edits, rewrites (raw fallback), and untouched-copy.
-            let p = match i % 3 {
-                0 => mutated(page, 0, 100, &mut rng),
-                1 => random_page(&mut rng),
-                _ => page.clone(),
-            };
-            dirty.insert(i as u64, p);
-        }
-
-        let (serial, serial_report) = pa_encode(&prev, &dirty, &PaParams::default());
-        for workers in [1, 2, 4, 8] {
-            let cache = SourceIndexCache::new();
-            for round in 0..2 {
-                let (file, report) = sharded(&prev, &dirty, workers, Some(&cache));
-                assert_eq!(serial, file, "workers={workers} round={round}");
-                assert_eq!(serial_report, report);
-            }
-            // Round two ran entirely from cache (identical dirty set).
-            assert_eq!(cache.hits(), cache.misses(), "workers={workers}");
-        }
-    }
-
-    #[test]
     fn raw_fallback_rewind_keeps_neighbouring_records_intact() {
         // A shard mixing [compressible, incompressible, compressible] pages
         // exercises the arena truncate-and-append rewind between records.
@@ -1234,7 +827,6 @@ mod tests {
             &dirty,
             shard,
             &PaParams::default(),
-            None,
             &mut ShardScratch::new(),
         );
         assert!(matches!(records[0], PageRecord::Delta { .. }));
@@ -1256,20 +848,25 @@ mod tests {
 
     #[test]
     fn probe_bail_stores_raw_without_building_index() {
-        // An incompressible hot page must be stored raw WITHOUT the cache
-        // ever building (or even counting) an index: the match-rate probe
-        // bails before the build, which is the whole cold-path fix.
+        // An incompressible hot page must be stored raw WITHOUT the scratch
+        // index ever being built: the match-rate probe bails before the
+        // build, which is the whole cold-path fix.
         let mut rng = StdRng::seed_from_u64(70);
         let old = random_page(&mut rng);
         let new = random_page(&mut rng); // unrelated content: zero matches
         let prev = Snapshot::from_pages([(0, old)]);
         let dirty = Snapshot::from_pages([(0, new.clone())]);
 
-        let cache = SourceIndexCache::new();
-        let (file, report) = pa_encode_cached(&prev, &dirty, &PaParams::default(), &cache);
-        assert_eq!(cache.misses(), 0, "bail must skip the index build");
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.len(), 0);
+        let mut scratch = ShardScratch::new();
+        let shard = Shard { start: 0, end: 1 };
+        let part =
+            pa_encode_shard_scratch(&prev, &dirty, shard, &PaParams::default(), &mut scratch);
+        assert_eq!(
+            scratch.index.block_size(),
+            0,
+            "bail must skip the index build"
+        );
+        let (file, report) = pa_assemble(std::iter::once(part));
         assert_eq!(file.delta_page_count(), 0);
         assert_eq!(report.matched_bytes, 0);
         assert_eq!(report.source_bytes, PAGE_SIZE as u64, "hot page, not new");
@@ -1279,9 +876,8 @@ mod tests {
     #[test]
     fn probe_bail_is_identical_across_every_encode_path() {
         // The bail verdict is a pure function of (source, target,
-        // block_size), so serial, cached and sharded at any width, cached
-        // or not, must produce the same bytes AND the same report for a
-        // bailing mix.
+        // block_size), so serial and sharded at any width must produce the
+        // same bytes AND the same report for a bailing mix.
         let mut rng = StdRng::seed_from_u64(71);
         let pages: Vec<Page> = (0..20).map(|_| random_page(&mut rng)).collect();
         let prev = Snapshot::from_pages(
@@ -1302,47 +898,41 @@ mod tests {
         }
 
         let (serial, serial_report) = pa_encode(&prev, &dirty, &PaParams::default());
-        let cache = SourceIndexCache::new();
-        let (cached, cached_report) = pa_encode_cached(&prev, &dirty, &PaParams::default(), &cache);
-        assert_eq!(serial, cached);
-        assert_eq!(serial_report, cached_report);
         for workers in [1, 2, 4, 8] {
-            for cache in [None, Some(&cache)] {
-                let (file, report) = sharded(&prev, &dirty, workers, cache);
-                assert_eq!(serial, file, "workers={workers}");
-                assert_eq!(serial_report, report, "workers={workers}");
-            }
+            let (file, report) = sharded(&prev, &dirty, workers);
+            assert_eq!(serial, file, "workers={workers}");
+            assert_eq!(serial_report, report, "workers={workers}");
         }
         assert_eq!(pa_decode(&prev, &serial).unwrap(), dirty);
     }
 
     #[test]
-    fn cache_len_and_heap_accounting_survive_insert_and_invalidate() {
-        let mut rng = StdRng::seed_from_u64(72);
-        let cache = SourceIndexCache::new();
-        let pages: Vec<Page> = (0..9).map(|_| random_page(&mut rng)).collect();
-        for (i, p) in pages.iter().enumerate() {
-            cache.insert_built(i as u64, p, 16, None);
+    fn cache_adapter_is_pa_encode_and_never_hits() {
+        // The stand-in kept for the fleet benchmark: its output is the
+        // serial encode's, and encoding the same (page, source) pair twice
+        // still counts no lookup, because there is no cache behind it.
+        let mut rng = StdRng::seed_from_u64(60);
+        let pages: Vec<Page> = (0..12).map(|_| random_page(&mut rng)).collect();
+        let prev = Snapshot::from_pages(
+            pages
+                .iter()
+                .cloned()
+                .enumerate()
+                .map(|(i, p)| (i as u64, p)),
+        );
+        let mut dirty = Snapshot::new();
+        for (i, page) in pages.iter().enumerate() {
+            dirty.insert(i as u64, mutated(page, 0, 64 + i * 13, &mut rng));
         }
-        assert_eq!(cache.len(), 9);
-        assert_eq!(cache.misses(), 9);
-        let heap_full = cache.heap_bytes();
-        assert!(heap_full > 9 * PAGE_SIZE, "heap accounts index + page pin");
+        dirty.insert(50, random_page(&mut rng)); // new page
 
-        // Replacing an entry must not double-count it.
-        cache.insert_built(0, &random_page(&mut rng), 16, None);
-        assert_eq!(cache.len(), 9, "replacement keeps len");
-
-        cache.invalidate(3);
-        assert_eq!(cache.len(), 8);
-        assert!(cache.heap_bytes() < heap_full);
-        cache.invalidate(3); // double-invalidate is a no-op
-        assert_eq!(cache.len(), 8);
-
-        cache.invalidate_all();
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.heap_bytes(), 0, "all heap accounting returned");
-        assert!(cache.is_empty());
+        let expect = pa_encode(&prev, &dirty, &PaParams::default());
+        let cache = SourceIndexCache::new();
+        for _ in 0..2 {
+            let got = pa_encode_cached(&prev, &dirty, &PaParams::default(), &cache);
+            assert_eq!(got, expect);
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 
     #[test]

@@ -131,11 +131,6 @@ pub fn encode_with_report_reference(
     (delta, report)
 }
 
-/// Reference encode, report discarded.
-pub fn encode_reference(source: &[u8], target: &[u8], params: &EncodeParams) -> Delta {
-    encode_with_report_reference(source, target, params).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,12 +35,6 @@ impl RollingHash {
         (self.b << 16) | self.a
     }
 
-    /// Window length this hash was computed over.
-    #[inline]
-    pub fn window_len(&self) -> u32 {
-        self.len
-    }
-
     /// Slide the window one byte: remove `out` (the byte leaving on the
     /// left) and append `inc` (the byte entering on the right).
     ///

@@ -226,11 +226,6 @@ impl Chain {
     pub fn is_empty(&self) -> bool {
         self.states.is_empty()
     }
-
-    /// State names (for debugging / display).
-    pub fn state_names(&self) -> Vec<&str> {
-        self.states.iter().map(|s| s.name.as_str()).collect()
-    }
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ fn main() {
     );
 
     // --- AIC.
-    let mut aic_cfg = AicConfig::testbed(config.rates.clone());
+    let mut aic_cfg = AicConfig::testbed();
     aic_cfg.bootstrap_interval = (15.0 * duration).max(2.0);
     let mut aic = AicPolicy::new(aic_cfg, &config.policy_env());
     let aic_report = run_engine(scaled_persona(&persona, &scale), &mut aic, &config);

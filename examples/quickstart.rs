@@ -21,7 +21,7 @@ fn main() {
 
     // Engine: 1-second checkpoint decisions, Coastal bandwidths, Xdelta3-PA
     // delta compression on the (modelled) checkpointing core.
-    let config = EngineConfig::testbed(rates.clone());
+    let config = EngineConfig::testbed(rates);
 
     // A bursty workload: 10 s quiet / 3 s burst phases over 16 MiB — the
     // kind of dynamics where adaptive checkpoint timing pays off.
@@ -38,7 +38,7 @@ fn main() {
 
     // The paper's contribution: adaptive incremental checkpointing
     // (online stepwise-regression predictor + Newton–Raphson decider).
-    let mut policy = AicPolicy::new(AicConfig::testbed(rates), &config.policy_env());
+    let mut policy = AicPolicy::new(AicConfig::testbed(), &config.policy_env());
     let report = run_engine(SimProcess::new(Box::new(workload)), &mut policy, &config);
 
     println!("workload : {}", report.workload);

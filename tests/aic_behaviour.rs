@@ -22,7 +22,7 @@ fn scale() -> RunScale {
 }
 
 fn aic_run(name: &str, config: &EngineConfig) -> (aic::ckpt::engine::EngineReport, u64) {
-    let mut cfg = AicConfig::testbed(rates());
+    let mut cfg = AicConfig::testbed();
     cfg.bootstrap_interval = 4.0;
     let mut policy = AicPolicy::new(cfg, &config.policy_env());
     let report = run_engine(scaled_persona(name, &scale()), &mut policy, config);
@@ -44,7 +44,7 @@ fn aic_exploits_milc_parity_phases() {
     // an unlucky moment is large, so adaptive timing matters.
     let mut config = geometry_scaled_engine(&long);
     config.b3 /= 4.0;
-    let mut cfg = AicConfig::testbed(rates());
+    let mut cfg = AicConfig::testbed();
     cfg.bootstrap_interval = 4.0;
     let mut policy = AicPolicy::new(cfg, &config.policy_env());
     let aic_report = run_engine(scaled_persona("milc", &long), &mut policy, &config);
@@ -113,7 +113,7 @@ fn aic_predictor_learns_the_workload_online() {
     // most 3 features per target, and its ds prediction should correlate
     // with the measured outcomes (no profiling was ever provided).
     let config = geometry_scaled_engine(&scale());
-    let mut cfg = AicConfig::testbed(rates());
+    let mut cfg = AicConfig::testbed();
     cfg.bootstrap_interval = 4.0;
     let mut policy = AicPolicy::new(cfg, &config.policy_env());
     let report = run_engine(scaled_persona("sjeng", &scale()), &mut policy, &config);

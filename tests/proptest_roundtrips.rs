@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use aic::ckpt::format::{CheckpointFile, CheckpointKind};
 use aic::ckpt::storage::{BandwidthModel, FlatStore, Raid5Group, Store};
 use aic::delta::encode::{encode_with_report, EncodeParams};
-use aic::delta::pa::{pa_decode, pa_encode, pa_encode_cached, PaParams, SourceIndexCache};
+use aic::delta::pa::{pa_decode, pa_encode, PaParams};
 use aic::delta::reference::encode_with_report_reference;
 use aic::delta::xor::{xor_decode, xor_encode};
 use aic::delta::{decode, encode};
@@ -114,37 +114,6 @@ proptest! {
         prop_assert_eq!(decode(&source, &optimized).unwrap(), target);
         prop_assert_eq!(optimized, reference);
         prop_assert_eq!(opt_report, ref_report);
-    }
-
-    #[test]
-    fn cached_pa_encode_matches_uncached_across_rounds(
-        seed_pages in vec((0u64..64, any::<u8>()), 1..10),
-        edit_frac in 0u8..=100,
-    ) {
-        let mut prev = Snapshot::new();
-        for (idx, fill) in &seed_pages {
-            let mut p = Page::zeroed();
-            p.write_at(0, &vec![*fill; PAGE_SIZE]);
-            prev.insert(*idx, p);
-        }
-        let mut dirty = Snapshot::new();
-        for (idx, fill) in &seed_pages {
-            let mut p = prev.get(*idx).unwrap().clone();
-            let len = PAGE_SIZE * (edit_frac as usize) / 100;
-            p.write_at(0, &vec![fill.wrapping_add(1); len.max(1)]);
-            dirty.insert(*idx, p);
-        }
-        let (plain, plain_report) = pa_encode(&prev, &dirty, &PaParams::default());
-        let cache = SourceIndexCache::new();
-        // Round 1 populates the cache; round 2 is served from it. Both
-        // must equal the uncached encode bit for bit.
-        for round in 0..2 {
-            let (cached, cached_report) =
-                pa_encode_cached(&prev, &dirty, &PaParams::default(), &cache);
-            prop_assert_eq!(&cached, &plain, "round {}", round);
-            prop_assert_eq!(&cached_report, &plain_report, "round {}", round);
-        }
-        prop_assert_eq!(cache.hits(), cache.misses());
     }
 
     #[test]
