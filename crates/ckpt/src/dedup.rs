@@ -24,8 +24,7 @@
 //!
 //! **Collision safety.** The 128-bit digest only narrows the search; a
 //! hash hit must *byte-verify* against the stored chunk before reuse —
-//! exact equality decides, the same rule `SourceIndexCache` applies to
-//! source pages. A digest hit whose bytes differ is counted as a verify
+//! exact equality decides. A digest hit whose bytes differ is counted as a verify
 //! failure and the span stays inline in the frame's residual (first
 //! content keeps the hash slot; conservative and correct).
 //!
@@ -34,8 +33,7 @@
 //! chunks by log seq, so resolution ([`Frame::decode`] + log reads) needs
 //! no map at all — a reopened or repopulated level can always reassemble
 //! its records. The verify copies are cheap `Bytes` slices of the commit
-//! payloads (refcounted views, not copies), mirroring how
-//! `SourceIndexCache` retains source pages.
+//! payloads (refcounted views, not copies).
 
 use std::collections::HashMap;
 

@@ -17,19 +17,17 @@
 //! ## Hot-path structure
 //!
 //! [`encode_into`] is the allocation-free core: it takes a prebuilt
-//! [`SourceIndex`] (buildable once per source version and reusable across
-//! encodes — see [`crate::pa`]'s cross-interval cache) and appends the
-//! instruction payload directly to a caller-owned [`BytesMut`] arena, so a
-//! steady-state caller that recycles both performs **zero heap allocations
-//! per page**. Match extension compares 32 bytes per step (paired `u128`
-//! loads, XOR, count trailing/leading zero bytes — see [`common_prefix`])
-//! with 16/8-byte and scalar tails, and candidate confirmation compares
-//! whole blocks in 16-byte lanes ([`blocks_equal`]).
+//! [`SourceIndex`] (rebuilt in place per page by [`crate::pa`]) and
+//! appends the instruction payload directly to a caller-owned [`BytesMut`]
+//! arena, so a steady-state caller that recycles both performs **zero heap
+//! allocations per page**. Match extension compares 32 bytes per step
+//! (paired `u128` loads, XOR, count trailing/leading zero bytes — see
+//! [`common_prefix`]) with 16/8-byte and scalar tails, and candidate
+//! confirmation compares whole blocks in 16-byte lanes ([`blocks_equal`]).
 //!
 //! [`encode_with_report`] wraps it for one-shot callers. Its output is
 //! bit-identical to the retained naive implementation in
-//! [`crate::reference`] — property-tested, and relied on by the
-//! cross-interval cache (a cache hit must not change the wire bytes).
+//! [`crate::reference`] — property-tested.
 
 use bytes::{Bytes, BytesMut};
 
@@ -263,8 +261,8 @@ pub fn blocks_equal(a: &[u8], b: &[u8]) -> bool {
 /// `index` must have been built over `source` with this `params.block_size`
 /// (checked in debug builds). The caller owns both the index and the arena,
 /// which is what makes steady-state encoding allocation-free: the pool
-/// workers in `aic-ckpt` reuse one arena per shard and pull indexes from
-/// the cross-interval cache.
+/// workers in `aic-ckpt` reuse one arena per shard and rebuild one scratch
+/// index in place per page.
 ///
 /// The emitted bytes — and the returned report — are bit-identical to
 /// [`crate::reference::encode_with_report_reference`] on the same inputs.

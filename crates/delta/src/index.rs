@@ -4,7 +4,7 @@
 //! every `block_size`-aligned source block to the offsets where that hash
 //! occurs. The original implementation used `HashMap<u32, Vec<usize>>` —
 //! one heap `Vec` per distinct hash, rebuilt from scratch on every page of
-//! every interval. [`SourceIndex`] replaces it with three flat arrays:
+//! every interval. [`SourceIndex`] replaces it with four flat arrays:
 //!
 //! * `strongs` — the [`block_filter`] digest of each block, by block
 //!   number, so match confirmation is a single `u64` compare instead of
@@ -18,7 +18,10 @@
 //!   probe order exactly (insertion order was ascending offset);
 //! * `slots` — an open-addressed, linearly-probed table (≤ 50% load,
 //!   power-of-two capacity) mapping a weak hash to its group's range in
-//!   `entries`.
+//!   `entries`;
+//! * `present` — a 16-Kbit presence filter over the weak hashes, checked
+//!   before `slots`, so a window with no candidates (almost every window
+//!   of rewritten content) costs one bit test instead of a slot probe.
 //!
 //! An index depends only on the source bytes and the block size.
 //! [`SourceIndex::rebuild`] reuses the internal buffers, so the page-aligned
@@ -46,6 +49,16 @@ const EMPTY: Slot = Slot {
 /// Fibonacci multiplier for slot placement (Knuth's 2^32 / φ).
 const HASH_MUL: u32 = 0x9E37_79B9;
 
+/// Bits in the presence filter (see [`SourceIndex`]'s `present`).
+const FILTER_BITS: usize = 1 << 14;
+
+/// The presence-filter bit of weak hash `weak`: the top bits of its
+/// Fibonacci product.
+#[inline]
+fn filter_bit(weak: u32) -> usize {
+    (weak.wrapping_mul(HASH_MUL) >> (32 - FILTER_BITS.trailing_zeros())) as usize
+}
+
 /// Precomputed block index of one source buffer. See the module docs for
 /// the layout; build once per source version, probe many times.
 #[derive(Debug, Default, Clone)]
@@ -58,6 +71,12 @@ pub struct SourceIndex {
     entries: Vec<u32>,
     /// Open-addressed table from weak hash to `entries` range.
     slots: Vec<Slot>,
+    /// One bit per [`filter_bit`] value, set for every indexed weak hash.
+    /// Rewritten content gives the scan a window with no candidates at
+    /// almost every byte, and a clear bit answers that without the slot
+    /// probe, whose length varies per window and defeats branch
+    /// prediction.
+    present: Vec<u64>,
     /// Sort scratch: `(weak, block)` pairs, retained for reuse.
     pairs: Vec<(u32, u32)>,
 }
@@ -103,6 +122,7 @@ impl SourceIndex {
         self.entries.clear();
         self.pairs.clear();
         self.slots.clear();
+        self.present.clear();
         if self.n_blocks == 0 {
             return;
         }
@@ -133,6 +153,7 @@ impl SourceIndex {
         // Capacity 2·n_blocks (≥ 2·groups) keeps load ≤ 50%.
         let cap = (self.n_blocks * 2).next_power_of_two();
         self.slots.resize(cap, EMPTY);
+        self.present.resize(FILTER_BITS / 64, 0);
         let mask = cap - 1;
         let mut i = 0;
         while i < self.pairs.len() {
@@ -142,6 +163,8 @@ impl SourceIndex {
                 self.entries.push(self.pairs[i].1);
                 i += 1;
             }
+            let bit = filter_bit(weak);
+            self.present[bit / 64] |= 1 << (bit % 64);
             let mut h = (weak.wrapping_mul(HASH_MUL) as usize) & mask;
             while self.slots[h].len != 0 {
                 h = (h + 1) & mask;
@@ -179,6 +202,10 @@ impl SourceIndex {
         if self.slots.is_empty() {
             return &[];
         }
+        let bit = filter_bit(weak);
+        if self.present[bit / 64] & (1 << (bit % 64)) == 0 {
+            return &[];
+        }
         let mask = self.slots.len() - 1;
         let mut h = (weak.wrapping_mul(HASH_MUL) as usize) & mask;
         loop {
@@ -211,8 +238,9 @@ impl SourceIndex {
 /// front end for the match-rate probe in [`crate::pa`]: decide whether a
 /// full index is worth building *before* paying for one. Exact by
 /// construction (a sorted, deduplicated `Vec<u32>`), never probabilistic —
-/// a filter with false answers could make the cached and uncached encode
-/// paths disagree on the bail decision and break their bit-identity.
+/// a filter with false answers could make shards of one encode disagree
+/// with the serial encode on the bail decision and break their
+/// bit-identity.
 #[derive(Debug, Default, Clone)]
 pub struct WeakSet {
     /// Sorted, deduplicated hashes — the membership set.

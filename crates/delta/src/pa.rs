@@ -318,10 +318,10 @@ struct PendingRec {
 }
 
 /// Reusable per-worker scratch for the shard encoder: the source index and
-/// the weak-hash set consulted by the match-rate probe. Pool
-/// workers hold one per thread and reuse it across every shard of every
-/// job, so steady-state encoding allocates nothing per page and the
-/// buffers' high-water capacity is paid once per worker, not per shard.
+/// the weak-hash set consulted by the match-rate probe. Pool workers hold
+/// one per thread and reuse it across every shard of every job, so
+/// steady-state encoding allocates nothing per page and the buffers'
+/// high-water capacity is paid once per worker, not per shard.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
     index: SourceIndex,

@@ -20,7 +20,7 @@ pub type PageIdx = u64;
 ///
 /// A shared buffer is immutable for as long as more than one handle points
 /// at it, so [`Page::ptr_eq`] witnesses content equality without comparing
-/// bytes; the delta layer's source-index cache leans on that.
+/// bytes.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {
     bytes: Arc<[u8; PAGE_SIZE]>,
