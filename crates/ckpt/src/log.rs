@@ -246,6 +246,13 @@ pub struct LogStats {
 /// bill only the appended frame (RAID backings bill the touched stripe
 /// rows), reads bill the record's share of its segment, and compaction
 /// bills the full copy traffic it generates.
+///
+/// Host work follows the record too. An append costs its frame, and a
+/// record read (`read`, `read_at`, `read_receipt`) fetches just its frame
+/// through [`Store::read_range`] and [`Store::len`]. Compaction costs the
+/// live bytes plus a retire per old segment, and reclamation a delete per
+/// segment. Only [`CheckpointLog::reopen`] reads segments whole, once
+/// each, to find their torn tails.
 #[derive(Debug, Clone)]
 pub struct CheckpointLog<S: Store> {
     store: S,
@@ -408,11 +415,10 @@ impl<S: Store> CheckpointLog<S> {
     /// is exactly what the epoch pin guarantees. Returns `None` if the
     /// segment is gone or the frame fails validation.
     pub fn read_at(&self, loc: RecordLoc) -> Option<Bytes> {
-        let seg = self.store.get(&Self::seg_name(loc.segment))?;
-        if seg.len() < loc.offset + loc.len {
-            return None;
-        }
-        decode_record(&seg, loc.offset).ok().map(|r| r.payload)
+        let frame = self
+            .store
+            .read_range(&Self::seg_name(loc.segment), loc.offset, loc.len)?;
+        decode_record(&frame, 0).ok().map(|r| r.payload)
     }
 
     /// Simulated cost of reading a live record: the record's proportional
@@ -425,8 +431,9 @@ impl<S: Store> CheckpointLog<S> {
 
     /// [`CheckpointLog::read_receipt`] for an explicit location.
     pub fn read_receipt_at(&self, loc: RecordLoc) -> Option<Receipt> {
-        let seg = self.store.read_receipt(&Self::seg_name(loc.segment))?;
-        let seg_len = self.store.get(&Self::seg_name(loc.segment))?.len();
+        let name = Self::seg_name(loc.segment);
+        let seg = self.store.read_receipt(&name)?;
+        let seg_len = self.store.len(&name)?;
         if seg_len == 0 {
             return None;
         }
@@ -507,7 +514,9 @@ impl<S: Store> CheckpointLog<S> {
     }
 
     /// Free retired segments whose retire epoch predates every live pin.
-    /// Returns `(segments, physical bytes)` reclaimed.
+    /// Returns `(segments, bytes)` reclaimed, where bytes are the segments'
+    /// logical length: on a RAID backing, parity and padding are not
+    /// counted.
     pub fn try_reclaim(&mut self) -> (u64, u64) {
         let safe = self.pins.values().min().copied().unwrap_or(self.epoch);
         let mut segs = 0u64;
@@ -515,8 +524,8 @@ impl<S: Store> CheckpointLog<S> {
         self.retired.retain(|r| {
             if r.retire_epoch < safe {
                 let name = Self::seg_name(r.segment);
-                if let Some(obj) = self.store.get(&name) {
-                    bytes += obj.len() as u64;
+                if let Some(len) = self.store.len(&name) {
+                    bytes += len as u64;
                 }
                 self.store.delete(&name);
                 segs += 1;
@@ -907,6 +916,8 @@ mod tests {
     use crate::storage::{BandwidthModel, FlatStore, Raid5Group};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn flat() -> FlatStore {
         FlatStore::new(BandwidthModel::new(1e6, 0.0))
@@ -1205,6 +1216,87 @@ mod tests {
         );
         log.store_mut().repair_node();
         assert_eq!(log.read(3).unwrap(), payload(900, 103));
+    }
+
+    /// A store that counts whole-object reads ([`Store::get`]).
+    #[derive(Debug, Clone)]
+    struct CountingStore<S> {
+        inner: S,
+        gets: Rc<Cell<u64>>,
+    }
+
+    impl<S: Store> Store for CountingStore<S> {
+        fn put(&mut self, name: &str, data: Bytes) -> Receipt {
+            self.inner.put(name, data)
+        }
+        fn append(&mut self, name: &str, data: Bytes) -> Receipt {
+            self.inner.append(name, data)
+        }
+        fn len(&self, name: &str) -> Option<usize> {
+            self.inner.len(name)
+        }
+        fn read_range(&self, name: &str, off: usize, len: usize) -> Option<Bytes> {
+            self.inner.read_range(name, off, len)
+        }
+        fn get(&self, name: &str) -> Option<Bytes> {
+            self.gets.set(self.gets.get() + 1);
+            self.inner.get(name)
+        }
+        fn read_receipt(&self, name: &str) -> Option<Receipt> {
+            self.inner.read_receipt(name)
+        }
+        fn delete(&mut self, name: &str) -> bool {
+            self.inner.delete(name)
+        }
+        fn stored_bytes(&self) -> u64 {
+            self.inner.stored_bytes()
+        }
+    }
+
+    /// Appends, record reads, compaction and reclamation never read a
+    /// segment whole; reopen reads each addressable segment exactly once.
+    fn per_record_paths_never_read_a_segment_whole<S: Store + Clone>(inner: S) {
+        let gets = Rc::new(Cell::new(0));
+        let store = CountingStore {
+            inner,
+            gets: Rc::clone(&gets),
+        };
+        let mut log = CheckpointLog::new(store, 2048);
+        for seq in 0..8 {
+            log.append(seq, CheckpointKind::Incremental, &payload(600, seq + 110));
+        }
+        let loc = log.loc_of(6).unwrap();
+        assert_eq!(log.read(6).unwrap(), payload(600, 116));
+        assert_eq!(log.read_at(loc).unwrap(), payload(600, 116));
+        assert!(log.read_receipt(6).is_some());
+        log.mark_dead_before(6);
+        log.compact(None).unwrap();
+        assert!(log.try_reclaim().0 > 0);
+        log.append(8, CheckpointKind::Full, &payload(300, 118));
+        assert_eq!(log.read(8).unwrap(), payload(300, 118));
+        assert_eq!(gets.get(), 0, "a per-record path read a segment whole");
+
+        let segments = log.stats().segments;
+        let reopened = CheckpointLog::reopen(log.store().clone(), &log.manifest_bytes()).unwrap();
+        assert_eq!(gets.get(), segments, "reopen reads each segment once");
+        for seq in 6..9 {
+            assert_eq!(reopened.read(seq), log.read(seq), "seq {seq}");
+        }
+        assert_eq!(gets.get(), segments);
+    }
+
+    #[test]
+    fn only_reopen_reads_a_flat_segment_whole() {
+        per_record_paths_never_read_a_segment_whole(flat());
+    }
+
+    #[test]
+    fn only_reopen_reads_a_raid_segment_whole() {
+        per_record_paths_never_read_a_segment_whole(Raid5Group::new(
+            4,
+            256,
+            BandwidthModel::new(1e6, 0.0),
+        ));
     }
 
     #[test]
