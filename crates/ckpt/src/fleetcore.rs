@@ -9,7 +9,9 @@
 //!
 //! * **land acks** up to `now` ([`FleetCore::land_acks`]);
 //! * **commit** a cut: seq, `commit_write_behind`, anchor supersession,
-//!   enqueue, calibration ([`FleetCore::commit`]);
+//!   enqueue, calibration ([`FleetCore::commit`]); the cut arrives from
+//!   [`build_cut`] with its w* already solved, so a commit only touches
+//!   shared state;
 //! * **crash**: fail the tenant's storage, cancel its lost drains, recover
 //!   from the cheapest surviving level, verify against the persona, and
 //!   open a pinned read window ([`FleetCore::crash`]);
@@ -30,7 +32,6 @@ use std::collections::HashSet;
 use bytes::Bytes;
 
 use aic_core::baselines::sic_optimal_w;
-use aic_core::PolicyEnv;
 use aic_delta::pa::PaDeltaFile;
 use aic_delta::stats::EncodeReport;
 use aic_memsim::{Snapshot, PAGE_SIZE};
@@ -133,11 +134,29 @@ impl TenantCore {
         )
     }
 
-    /// Calibration, which every driver runs on every commit: anchor
-    /// cadence, the running means, and the adaptive w* re-solve. The solver
-    /// only ever sees intrinsic (queue-free, full pool width) encode
-    /// latency, so the trajectory matches a solo run.
-    fn calibrate(&mut self, cut: &Cut, env: &PolicyEnv) {
+    /// The interval after committing a cut that costs `c1`, `dl` and `ds`:
+    /// an adaptive tenant re-solves w* over its running means with the cut
+    /// included, and a fixed one keeps its w. The solver only ever sees
+    /// intrinsic (queue-free, full pool width) encode latency, so the
+    /// trajectory matches a solo run.
+    fn solve_w(&self, c1: f64, dl: f64, ds: f64, cfg: &ServiceConfig) -> f64 {
+        let TenantPolicy::Adaptive { bootstrap } = self.policy else {
+            return self.w;
+        };
+        let n = (self.commits + 1) as f64;
+        sic_optimal_w(
+            (self.sum_c1 + c1) / n,
+            (self.sum_dl + dl) / n,
+            (self.sum_ds + ds) / n,
+            &cfg.policy_env(),
+            self.rounds as f64 * bootstrap,
+        )
+    }
+
+    /// Calibration, run on every successful commit: anchor cadence, the
+    /// running means, and the w* that [`build_cut`] solved for this cut,
+    /// applied now.
+    fn calibrate(&mut self, cut: &Cut) {
         self.round = cut.round;
         self.commits += 1;
         if cut.full {
@@ -149,21 +168,12 @@ impl TenantCore {
         self.sum_c1 += cut.c1;
         self.sum_dl += cut.dl;
         self.sum_ds += cut.ds;
-        if let TenantPolicy::Adaptive { bootstrap } = self.policy {
-            let n = self.commits as f64;
-            self.w = sic_optimal_w(
-                self.sum_c1 / n,
-                self.sum_dl / n,
-                self.sum_ds / n,
-                env,
-                self.rounds as f64 * bootstrap,
-            );
-        }
+        self.w = cut.w;
     }
 }
 
-/// A cut ready to commit: the file (its seq is assigned at commit) plus
-/// the solver's calibration inputs.
+/// A cut ready to commit: the file (its seq is assigned at commit), the
+/// solver's calibration inputs and the w* they solve to.
 #[derive(Debug)]
 pub(crate) struct Cut {
     /// Workload round the cut captures.
@@ -178,6 +188,8 @@ pub(crate) struct Cut {
     pub dl: f64,
     /// Payload bytes.
     pub ds: f64,
+    /// The tenant's interval once this cut commits.
+    pub w: f64,
 }
 
 /// Seconds to write tenant `persona`'s full image to the local level —
@@ -192,9 +204,12 @@ pub(crate) fn local_write_latency(
 }
 
 /// Build tenant `t`'s next cut. An anchor snapshots the persona; a delta
-/// takes its payload from `encode` — the serial encoder, the wall-clock DRR
-/// encoder or a pool result — which must encode
-/// [`TenantCore::delta_inputs`] and is only called for deltas.
+/// takes its payload from `encode` — the serial encoder or a pool result —
+/// which must encode [`TenantCore::delta_inputs`] and is only called for
+/// deltas. It also solves the w* the tenant runs at once the cut commits,
+/// so `run_service`, `run_script_sim` and the wall-clock session each
+/// build the cut right before they commit it, the session outside the
+/// fleet's lock.
 pub(crate) fn build_cut(
     fleet: &SharedDatasetFleet,
     cfg: &ServiceConfig,
@@ -218,13 +233,15 @@ pub(crate) fn build_cut(
         let dl = cfg.cost_model.pooled_delta_latency(&report, cfg.cores);
         (file, dl, report.delta_bytes as f64)
     };
+    let c1 = local_write_latency(fleet, cfg, t.persona);
     Cut {
         round,
         full,
         file,
-        c1: local_write_latency(fleet, cfg, t.persona),
+        c1,
         dl,
         ds,
+        w: t.solve_w(c1, dl, ds, cfg),
     }
 }
 
@@ -235,8 +252,6 @@ pub(crate) struct Committed {
     pub seq: u64,
     /// Full anchor (true) or delta (false).
     pub full: bool,
-    /// The committed file, seq assigned.
-    pub file: CheckpointFile,
     /// Bytes handed to the write-behind transport.
     pub wire: u64,
     /// L2 (RAID) commit seconds; the L3 drain is enqueued after them.
@@ -280,8 +295,6 @@ pub(crate) struct Departure {
 pub(crate) struct FleetCore {
     pub hier: StorageHierarchy,
     pub transport: NetworkTransport,
-    /// The deployment the adaptive w* solver plans for.
-    env: PolicyEnv,
     seq_next: u64,
     violations: u64,
     violation_counter: Option<Counter>,
@@ -289,8 +302,7 @@ pub(crate) struct FleetCore {
 
 impl FleetCore {
     /// Build the hierarchy (testbed store models, `cfg`'s segment capacity
-    /// and dedup, `cfg.obs` attached), the transport and the solver's
-    /// [`PolicyEnv`].
+    /// and dedup, `cfg.obs` attached) and the transport.
     /// `violation_counter` mirrors [`FleetCore::violations`] into a metric.
     pub fn new(cfg: &ServiceConfig, violation_counter: Option<Counter>) -> Self {
         let mut hier = StorageHierarchy::with_segments(
@@ -317,7 +329,6 @@ impl FleetCore {
         FleetCore {
             hier,
             transport,
-            env: cfg.policy_env(),
             seq_next: 1,
             violations: 0,
             violation_counter,
@@ -356,7 +367,8 @@ impl FleetCore {
     /// Commit tenant `t`'s cut at time `at`: assign the next global seq,
     /// commit through L1/L2 with the L3 copy write-behind, let an anchor
     /// cancel the tenant's own superseded drains, enqueue the L3 drain once
-    /// L2 is durable, and calibrate the tenant.
+    /// L2 is durable, and calibrate the tenant. A failed commit leaves the
+    /// tenant's w as it was.
     pub fn commit(
         &mut self,
         t: &mut TenantCore,
@@ -381,11 +393,10 @@ impl FleetCore {
         let c2 = receipt.raid.seconds;
         let out = self.transport.enqueue(seq, wire, at + c2);
         self.hier.apply_acks(&out.events)?;
-        t.calibrate(&cut, &self.env);
+        t.calibrate(&cut);
         Ok(Committed {
             seq,
             full: cut.full,
-            file: cut.file,
             wire,
             c2,
             stalled_for: out.stalled_for,

@@ -551,25 +551,30 @@ impl<S: Store> CheckpointLog<S> {
     /// once safe) and the logical index is untouched, so recovery reads
     /// the exact same bytes it would have before the pass started.
     ///
+    /// Each live frame is checked once — its payload checksum, and a
+    /// header that names the index entry's seq, kind and length — and then
+    /// appended exactly as read: a frame that passes both checks is the
+    /// frame [`encode_record`] would rebuild, so nothing is re-encoded.
+    ///
     /// The receipt bills the copy traffic (reads of the live records plus
-    /// appends into the new segments). If any live record is unreadable
-    /// the pass aborts with [`LogError::Unreadable`] and changes nothing.
+    /// appends into the new segments). If any live frame fails a check the
+    /// pass aborts with [`LogError::Unreadable`] and changes nothing.
     pub fn compact(&mut self, crash_after: Option<usize>) -> Result<Receipt, LogError> {
-        let live: Vec<u64> = self.live_seqs();
         // Read phase: everything must be intact before we move anything.
-        let mut records = Vec::with_capacity(live.len());
+        let mut records = Vec::new();
         let mut total = Receipt {
             bytes: 0,
             seconds: 0.0,
         };
-        for &seq in &live {
-            let loc = self.loc_of(seq).expect("live seq has loc");
-            let payload = self.read_at(loc).ok_or(LogError::Unreadable(seq))?;
-            if let Some(r) = self.read_receipt_at(loc) {
+        for (&seq, e) in self.index.iter().filter(|(_, e)| e.live) {
+            let frame = self
+                .verified_frame(seq, e)
+                .ok_or(LogError::Unreadable(seq))?;
+            if let Some(r) = self.read_receipt_at(e.loc) {
                 total.bytes += r.bytes;
                 total.seconds += r.seconds;
             }
-            records.push((seq, self.index[&seq].kind, payload));
+            records.push((seq, e.kind, frame));
         }
 
         // Write phase: fresh segments, ids after every existing one.
@@ -578,12 +583,11 @@ impl<S: Store> CheckpointLog<S> {
         let mut out_index: BTreeMap<u64, IndexEntry> = BTreeMap::new();
         let mut copied = 0usize;
         let mut crashed = false;
-        for (seq, kind, payload) in &records {
+        for (seq, kind, frame) in records {
             if crash_after == Some(copied) {
                 crashed = true;
                 break;
             }
-            let frame = encode_record(*seq, *kind, payload);
             let need = frame.len();
             let cur = out_segs.last().copied();
             let start_new = match cur {
@@ -616,10 +620,10 @@ impl<S: Store> CheckpointLog<S> {
             meta.live_records += 1;
             meta.live_bytes += need as u64;
             out_index.insert(
-                *seq,
+                seq,
                 IndexEntry {
                     loc,
-                    kind: *kind,
+                    kind,
                     live: true,
                 },
             );
@@ -664,6 +668,18 @@ impl<S: Store> CheckpointLog<S> {
             obs.records_copied.add(copied as u64);
         }
         Ok(total)
+    }
+
+    /// The frame index entry `e` points at, if its payload checksum holds
+    /// and its header names `seq`, `e`'s kind and `e`'s length — the one
+    /// check compaction makes before it copies the frame as is.
+    fn verified_frame(&self, seq: u64, e: &IndexEntry) -> Option<Bytes> {
+        let loc = e.loc;
+        let frame = self
+            .store
+            .read_range(&Self::seg_name(loc.segment), loc.offset, loc.len)?;
+        let r = decode_record(&frame, 0).ok()?;
+        (r.seq == seq && r.kind == e.kind && r.frame_len == loc.len).then_some(frame)
     }
 
     /// Current statistics.
@@ -1139,6 +1155,29 @@ mod tests {
         // Nothing moved, nothing retired.
         assert_eq!(log.stats().retired_segments, 0);
         assert_eq!(log.read(1).unwrap(), payload(500, 61));
+    }
+
+    /// The checksum covers only the payload, so a frame whose header seq
+    /// took a bit flip still decodes. Compaction must not copy it under
+    /// the index's seq.
+    #[test]
+    fn compaction_refuses_a_frame_whose_header_disagrees_with_its_index() {
+        let mut log = CheckpointLog::new(flat(), 1 << 20);
+        for seq in 0..3 {
+            log.append(seq, CheckpointKind::Incremental, &payload(500, seq + 70));
+        }
+        let loc = log.loc_of(1).unwrap();
+        let mut v = log.store().get("seg-00000000").unwrap().to_vec();
+        // The header's seq follows the 4-byte magic.
+        v[loc.offset + 4] ^= 0x04;
+        log.store_mut().put("seg-00000000", Bytes::from(v));
+        let reads: Vec<_> = (0..3).map(|s| log.read(s)).collect();
+        let stats = log.stats();
+        assert_eq!(log.compact(None).unwrap_err(), LogError::Unreadable(1));
+        // Nothing moved, nothing retired.
+        assert_eq!(log.stats(), stats);
+        assert_eq!(log.loc_of(1), Some(loc));
+        assert_eq!((0..3).map(|s| log.read(s)).collect::<Vec<_>>(), reads);
     }
 
     #[test]

@@ -57,7 +57,7 @@ use aic_delta::strong::fnv1a;
 use crate::clock::{ClockSource, VirtualClock};
 use crate::engine::TICK;
 use crate::fleet::SharedDatasetFleet;
-use crate::fleetcore::{build_cut, Committed, FleetCore, RecoveryWindow, TenantCore};
+use crate::fleetcore::{build_cut, Committed, Cut, FleetCore, RecoveryWindow, TenantCore};
 use crate::format::CheckpointFile;
 use crate::recovery::{RecoveredImage, RecoveryError, StorageHierarchy};
 use crate::service::{ServiceConfig, TenantPolicy};
@@ -298,10 +298,18 @@ pub(crate) struct Recorder {
 }
 
 impl Recorder {
-    /// Record the commit `t` just made: ordinal, payload digest, w* bits
-    /// and the anchor GC sets, captured while the hierarchy still shows
-    /// exactly this commit's effect.
-    pub fn commit(&mut self, t: &TenantCore, c: &Committed, hier: &StorageHierarchy) {
+    /// The payload digest `cut` records once it commits as `t`'s next
+    /// ordinal. The ordinal, not the seq the commit will assign, goes into
+    /// the digest, so it can be taken before the commit (and outside any
+    /// lock).
+    pub fn digest(t: &TenantCore, cut: &Cut) -> u64 {
+        payload_digest(&cut.file, t.commits + 1)
+    }
+
+    /// Record the commit `t` just made: ordinal, the payload digest its cut
+    /// had ([`Recorder::digest`]), w* bits and the anchor GC sets, captured
+    /// while the hierarchy still shows exactly this commit's effect.
+    pub fn commit(&mut self, t: &TenantCore, c: &Committed, digest: u64, hier: &StorageHierarchy) {
         let ordinal = t.commits;
         self.seq_ordinal.insert(c.seq, ordinal);
         let live = |level| {
@@ -317,7 +325,7 @@ impl Recorder {
             ordinal,
             round: t.round,
             full: c.full,
-            payload_digest: payload_digest(&c.file, ordinal),
+            payload_digest: digest,
             w_bits: t.w.to_bits(),
             live_l1: live(1),
             live_l2: live(2),
@@ -377,9 +385,10 @@ pub fn run_script_sim(
                         let (prev, dirty) = t.delta_inputs(fleet);
                         pa_encode(&prev, &dirty, &cfg.pa)
                     });
+                    let digest = Recorder::digest(t, &cut);
                     let c = core.commit(t, cut, clock.now())?;
                     clock.advance_to(core.transport.now());
-                    rec.commit(t, &c, &core.hier);
+                    rec.commit(t, &c, digest, &core.hier);
                 }
                 Some(TenantCmd::Crash { level }) => {
                     assert!((1..=3).contains(&level), "crash level must be 1..=3");

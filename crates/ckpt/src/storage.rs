@@ -193,15 +193,17 @@ impl Store for FlatStore {
 ///
 /// Chunks are mutable buffers: an append writes its bytes into the
 /// object's open (last) row and XORs them into that row's parity in
-/// place, adding rows only when the bytes run past it. Reads, degraded
-/// ones included, touch only the chunk bytes they return.
+/// place, adding rows only when the bytes run past it. A chunk grows in
+/// zeroed blocks only as far as bytes are written to it, so opening a row
+/// allocates nothing. Reads, degraded ones included, touch only the chunk
+/// bytes they return.
 #[derive(Debug, Clone)]
 pub struct Raid5Group {
     bw: BandwidthModel,
     chunk_size: usize,
     /// Per-node chunk maps: `nodes[i][name]` = node i's chunk of each
-    /// stripe row of the object, zero-padded to `chunk_size`.
-    nodes: Vec<HashMap<String, Vec<Box<[u8]>>>>,
+    /// stripe row of the object.
+    nodes: Vec<HashMap<String, Vec<Chunk>>>,
     /// Object sizes, needed to strip padding on read.
     sizes: HashMap<String, usize>,
     /// Currently failed node, if any.
@@ -286,10 +288,17 @@ impl Raid5Group {
                 // rebuild, nothing to bill.
                 continue;
             }
-            let rebuilt: Option<Vec<Box<[u8]>>> = (0..rows)
+            // Each chunk is the XOR of its row's survivors, as far as they
+            // were written.
+            let rebuilt: Option<Vec<Chunk>> = (0..rows)
                 .map(|row| {
-                    self.reconstruct(&name, row, dead, 0..self.chunk_size)
-                        .map(Vec::into_boxed_slice)
+                    let mut chunk = Chunk::new(self.chunk_size);
+                    for (i, node) in self.nodes.iter().enumerate() {
+                        if i != dead {
+                            chunk.xor_chunk(node.get(&name)?.get(row)?);
+                        }
+                    }
+                    Some(chunk)
                 })
                 .collect();
             // A surviving chunk that is itself absent leaves the entry
@@ -317,7 +326,7 @@ impl Raid5Group {
         let mut acc = vec![0u8; range.len()];
         for (i, node) in self.nodes.iter().enumerate() {
             if i != dead {
-                xor_into(&mut acc, &node.get(name)?.get(row)?[range.clone()]);
+                node.get(name)?.get(row)?.xor_range(&mut acc, range.clone());
             }
         }
         Some(acc)
@@ -349,9 +358,9 @@ impl Raid5Group {
         (row, node, off % self.chunk_size)
     }
 
-    /// Write `data` at the end of `name`, first adding zeroed rows on
-    /// every reachable node to hold it. Each byte lands on zero padding,
-    /// so storing it in its data chunk and folding it into its row's parity
+    /// Write `data` at the end of `name`, first adding empty rows on every
+    /// reachable node to hold it. Each byte lands on zero padding, so
+    /// storing it in its data chunk and folding it into its row's parity
     /// are the same XOR, and no older byte is read. The failed node, if
     /// any, gets nothing: it must hold no copy of the object.
     fn extend(&mut self, name: &str, data: &[u8]) {
@@ -361,7 +370,7 @@ impl Raid5Group {
             if Some(i) != self.failed {
                 node.get_mut(name)
                     .expect("every reachable node holds the object")
-                    .resize_with(rows, || vec![0u8; cs].into_boxed_slice());
+                    .resize_with(rows, || Chunk::new(cs));
             }
         }
         let mut done = 0;
@@ -370,8 +379,8 @@ impl Raid5Group {
             let piece = &data[done..data.len().min(done + cs - pos)];
             for target in [node, self.parity_node(row)] {
                 if Some(target) != self.failed {
-                    let chunk = &mut self.nodes[target].get_mut(name).expect("resized above")[row];
-                    xor_into(&mut chunk[pos..pos + piece.len()], piece);
+                    self.nodes[target].get_mut(name).expect("resized above")[row]
+                        .xor_at(pos, piece);
                 }
             }
             done += piece.len();
@@ -393,6 +402,83 @@ impl Raid5Group {
 fn xor_into(acc: &mut [u8], src: &[u8]) {
     for (a, b) in acc.iter_mut().zip(src) {
         *a ^= b;
+    }
+}
+
+/// Most bytes a RAID chunk grows by at once: large enough that a read or
+/// a put moves a few long runs, small enough that a record opening a row
+/// allocates a quarter of a 256 KiB chunk.
+const BLOCK: usize = 64 << 10;
+
+/// One node's chunk of one stripe row. It grows in zeroed blocks as far
+/// as bytes are written to it and never moves what it holds, so an append
+/// costs the bytes it writes (in a clone of the group too); the rest of
+/// the chunk reads as zero.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Block length: [`BLOCK`], or the whole chunk when that is smaller.
+    block: usize,
+    blocks: Vec<Box<[u8]>>,
+}
+
+impl Chunk {
+    /// An empty chunk of a group whose chunks are `chunk_size` long.
+    fn new(chunk_size: usize) -> Self {
+        Chunk {
+            block: chunk_size.min(BLOCK),
+            blocks: Vec::new(),
+        }
+    }
+
+    /// XOR `src` into the chunk at byte `pos`, first adding the zeroed
+    /// blocks it reaches.
+    fn xor_at(&mut self, pos: usize, src: &[u8]) {
+        let bl = self.block;
+        while self.blocks.len() * bl < pos + src.len() {
+            self.blocks.push(vec![0u8; bl].into_boxed_slice());
+        }
+        let mut done = 0;
+        while done < src.len() {
+            let (block, off) = ((pos + done) / bl, (pos + done) % bl);
+            let n = (bl - off).min(src.len() - done);
+            xor_into(&mut self.blocks[block][off..off + n], &src[done..done + n]);
+            done += n;
+        }
+    }
+
+    /// The written bytes of `range`, block by block, each with its offset
+    /// in `range`. The bytes of `range` past the last block are zero.
+    fn pieces(&self, range: Range<usize>) -> impl Iterator<Item = (usize, &[u8])> {
+        let bl = self.block;
+        let end = range.end.min(self.blocks.len() * bl);
+        (range.start / bl..end.div_ceil(bl)).map(move |b| {
+            let base = b * bl;
+            let (lo, hi) = (base.max(range.start), (base + bl).min(end));
+            (lo - range.start, &self.blocks[b][lo - base..hi - base])
+        })
+    }
+
+    /// Append the chunk's bytes `range` to `out`.
+    fn read_into(&self, out: &mut Vec<u8>, range: Range<usize>) {
+        let start = out.len();
+        for (_, piece) in self.pieces(range.clone()) {
+            out.extend_from_slice(piece);
+        }
+        out.resize(start + range.len(), 0);
+    }
+
+    /// XOR the chunk's bytes `range` into `acc`, which is `range` long.
+    fn xor_range(&self, acc: &mut [u8], range: Range<usize>) {
+        for (at, piece) in self.pieces(range) {
+            xor_into(&mut acc[at..at + piece.len()], piece);
+        }
+    }
+
+    /// XOR all of `other`, a chunk of the same group, into this one.
+    fn xor_chunk(&mut self, other: &Chunk) {
+        for (i, block) in other.blocks.iter().enumerate() {
+            self.xor_at(i * other.block, block);
+        }
     }
 }
 
@@ -463,7 +549,8 @@ impl Store for Raid5Group {
                 // Degraded read: rebuild just these bytes from parity.
                 out.extend_from_slice(&self.reconstruct(name, row, node, range)?);
             } else {
-                out.extend_from_slice(&self.nodes[node].get(name)?.get(row)?[range]);
+                let chunk = self.nodes[node].get(name)?.get(row)?;
+                chunk.read_into(&mut out, range);
             }
         }
         Some(Bytes::from(out))
@@ -504,12 +591,13 @@ impl Store for Raid5Group {
         existed
     }
 
+    /// A stripe row counts a whole chunk on every node that holds it,
+    /// however much of the chunk was written: RAID stores the padding.
     fn stored_bytes(&self) -> u64 {
         self.nodes
             .iter()
             .flat_map(|n| n.values())
-            .flat_map(|rows| rows.iter())
-            .map(|c| c.len() as u64)
+            .map(|rows| (rows.len() * self.chunk_size) as u64)
             .sum()
     }
 }

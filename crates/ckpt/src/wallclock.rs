@@ -414,24 +414,26 @@ impl TenantSession<'_> {
         matches!(self.state, SessState::Down(..))
     }
 
-    /// Cut one checkpoint: encode (preemptible, outside every lock), then
-    /// commit + enqueue the L3 drain in one critical section. Blocks while
-    /// the write-behind queue is full — transport back-pressure reaches
-    /// the real caller.
+    /// Cut one checkpoint: encode (preemptible), solve w* and digest the
+    /// payload outside every lock, then commit + enqueue the L3 drain in
+    /// one critical section. Blocks while the write-behind queue is full —
+    /// transport back-pressure reaches the real caller.
     pub fn cut(&mut self) -> Result<&StreamEvent, RecoveryError> {
         assert!(matches!(self.state, SessState::Up), "cut on a down session");
         let srv = self.server;
 
-        // Phase 1 — encode, no locks held. Snapshots are pure functions of
-        // (persona, round); the pool's output is bit-identical to the
-        // serial encoder's, so the payload is mode-invariant.
+        // Phase 1 — encode, solve and digest, no locks held. Snapshots are
+        // pure functions of (persona, round); the pool's output is
+        // bit-identical to the serial encoder's, so the payload is
+        // mode-invariant.
         let cut = build_cut(&srv.fleet, &srv.cfg, &self.core, || {
             let (prev, dirty) = self.core.delta_inputs(&srv.fleet);
             srv.pool.encode(self.core.job, prev, dirty, srv.cfg.pa)
         });
+        let digest = Recorder::digest(&self.core, &cut);
 
         // Phase 2 — commit under back-pressure: wait for queue room, then
-        // seq assignment, commit, anchor GC, enqueue, and stream capture
+        // seq assignment, commit, anchor GC, enqueue, and live-set capture
         // in one critical section.
         let t0 = srv.clock.now();
         let (mut guard, now) = loop {
@@ -446,7 +448,7 @@ impl TenantSession<'_> {
         };
         let sh = &mut *guard;
         let c = sh.core.commit(&mut self.core, cut, now)?;
-        self.stream.commit(&self.core, &c, &sh.core.hier);
+        self.stream.commit(&self.core, &c, digest, &sh.core.hier);
         sh.cuts += 1;
         sh.wire_bytes += c.wire;
         if let Some(o) = &srv.wc {

@@ -131,12 +131,19 @@ pub fn optimal_w(
     w_hi: f64,
     seed: f64,
 ) -> Minimum {
-    evt_minimize(
-        |w| net2_interval(w, cur, prev, rates),
-        w_lo.max(prev.w_lower_bound()),
-        w_hi,
-        seed,
-    )
+    let f = |w| net2_interval(w, cur, prev, rates);
+    let lo = w_lo.max(prev.w_lower_bound());
+    only_span(f, lo, w_hi).unwrap_or_else(|| evt_minimize(f, lo, w_hi, seed))
+}
+
+/// The search's answer when `[lo, hi]` holds one span or none: `prev`'s
+/// transfer window can outlast `hi`, and then the window itself is the
+/// only interval that covers it.
+fn only_span(f: impl Fn(f64) -> f64, lo: f64, hi: f64) -> Option<Minimum> {
+    (lo >= hi).then(|| Minimum {
+        x: lo,
+        value: f(lo),
+    })
 }
 
 /// [`optimal_w`] with an explicit Newton–Raphson budget and tolerance, for
@@ -153,14 +160,10 @@ pub fn optimal_w_budgeted(
     max_iter: usize,
     tol: f64,
 ) -> Minimum {
-    crate::optimize::evt_minimize_with(
-        |w| net2_interval(w, cur, prev, rates),
-        w_lo.max(prev.w_lower_bound()),
-        w_hi,
-        seed,
-        max_iter,
-        tol,
-    )
+    let f = |w| net2_interval(w, cur, prev, rates);
+    let lo = w_lo.max(prev.w_lower_bound());
+    only_span(f, lo, w_hi)
+        .unwrap_or_else(|| crate::optimize::evt_minimize_with(f, lo, w_hi, seed, max_iter, tol))
 }
 
 /// Upper end of the online deciders' `w` search, seconds.
@@ -392,6 +395,16 @@ mod tests {
         let w_light = optimal_w(&cur, &prev, &light, 10.0, 1e6, 1_000.0).x;
         let w_heavy = optimal_w(&cur, &prev, &heavy, 10.0, 1e6, 1_000.0).x;
         assert!(w_heavy < w_light, "heavy={w_heavy} light={w_light}");
+    }
+
+    /// A transfer window past `W_MAX` is the only span left to search,
+    /// not an empty bracket (the full-scale `repro replay` reaches one).
+    #[test]
+    fn steady_state_wstar_past_w_max_is_the_transfer_window() {
+        let p = IntervalParams::symmetric(0.5, 4.5, 2e5 + 0.5);
+        let w = steady_state_wstar(&p, &rates(), 10.0, &mut None);
+        assert_eq!(w, p.w_lower_bound());
+        assert!(w > W_MAX);
     }
 
     #[test]
